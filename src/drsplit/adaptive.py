@@ -13,6 +13,7 @@ stepsize sequence converges and the updates eventually become exact no-ops
 in floating point.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -57,17 +58,21 @@ class AdaptiveConfig:
             raise ValueError(f"need 0 < lo_t < hi_t, got {self.lo_t}, {self.hi_t}")
         if not 0 < self.lo_s < self.hi_s:
             raise ValueError(f"need 0 < lo_s < hi_s, got {self.lo_s}, {self.hi_s}")
-        if self.cap <= 0:
-            raise ValueError(f"cap must be positive, got {self.cap}")
+        if not 0 < self.cap < math.inf:
+            raise ValueError(f"cap must be finite and positive, got {self.cap}")
         if self.relax_t(0) != 1.0 or self.relax_s(0) != 1.0:
             raise ValueError("relaxation schedules must start at 1")
 
 
 def _one_side(step: float, point, shadow, weight: float, lo: float, hi: float,
               cap: float) -> float:
-    """Update one stepsize from its prox output ``point`` and shadow input."""
-    num = float(np.linalg.norm(point))
-    den = float(np.linalg.norm(np.asarray(shadow, dtype=float) - point))
+    """Update one stepsize from its prox output ``point`` (a float ndarray)
+    and shadow input."""
+    # math.sqrt(v.dot(v)) is how np.linalg.norm computes a 1-D float norm,
+    # bit for bit, without its dispatch.
+    num = math.sqrt(point.dot(point))
+    gap = shadow - point
+    den = math.sqrt(gap.dot(gap))
     if den == 0.0:
         if num == 0.0:
             # Nothing observable at this iterate; keep the stepsize bitwise.
@@ -117,8 +122,9 @@ class ConstantPolicy:
     s: float
 
     def __post_init__(self):
-        if self.t <= 0 or self.s <= 0:
-            raise ValueError(f"stepsizes must be positive, got {self.t}, {self.s}")
+        if not (0 < self.t < math.inf and 0 < self.s < math.inf):
+            raise ValueError(
+                f"stepsizes must be finite and positive, got {self.t}, {self.s}")
 
     def initial(self, t0: float, s0: float) -> tuple[float, float]:
         return self.t, self.s

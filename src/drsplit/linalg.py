@@ -4,6 +4,12 @@ Everything operates on plain float64 numpy arrays at desk scale (a few
 hundred rows); matrices are always materialized densely.  The routines here
 wrap LAPACK through numpy/scipy and add the dimension, symmetry, and
 definiteness checks the callers rely on.
+
+Matrices are checked for finiteness where they are factored or
+decomposed, once.  :func:`spd_solve` runs inside every solver sweep and
+scans nothing: a non-finite right-hand side comes back as a non-finite
+solution, and the solver detects the divergence afterwards, from its step
+residual (see :mod:`drsplit.pddr`).
 """
 
 import math
@@ -12,8 +18,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "EigenConvergenceError",
@@ -113,13 +118,30 @@ def spd_factor(s_mat, fingerprint: float = float("nan")) -> SpdFactor:
 
 
 def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
-    """Solve S x = rhs given the Cholesky factor of S."""
+    """Solve S x = rhs given the Cholesky factor of S.
+
+    Calls LAPACK ``dpotrs``, the routine behind ``scipy.linalg.cho_solve``,
+    without its finiteness scans of the factor and the right-hand side.  A
+    factor from :func:`spd_factor` is finite; a non-finite ``rhs`` gives a
+    non-finite solution rather than an error.
+
+    Raises
+    ------
+    ValueError
+        If ``rhs`` does not have shape ``(factor.dim,)``.
+    """
     b = np.asarray(rhs, dtype=float)
     if b.shape != (factor.dim,):
         raise ValueError(
             f"dimension mismatch: factor is {factor.dim}, rhs has shape {b.shape}"
         )
-    return cho_solve((factor.lower, True), b)
+    if factor.dim == 0:
+        # dpotrs's wrapper rejects empty arrays.
+        return np.empty(0)
+    x, info = dpotrs(factor.lower, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of triangular solve call")
+    return x
 
 
 def eig_pairs(mat) -> tuple[np.ndarray, np.ndarray]:

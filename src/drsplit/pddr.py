@@ -12,8 +12,18 @@ The solver alternates two proxes with a coupled linear correction step.  For
 and the candidate solution is the shadow pair (x, y).  The linear solve goes
 through a Cholesky factor of the Schur complement, cached on the product
 t * s so constant-stepsize runs factor exactly once.
+
+Divergence is detected in one place, :func:`solve`, once per sweep and on
+scalars: the step residual and the objective.  The sweep itself scans no
+array for finiteness.  A non-finite prox output passes through the linear
+solve into the new shadow points, so the step residual of that same sweep
+is non-finite and ``solve`` raises :class:`IterationDiverged` with the
+sweep's index and the state it started from.  Stepsizes are checked where
+they enter: the starting values and every value a policy returns must be
+finite and positive.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -104,8 +114,7 @@ class SolveTrace:
 
 def initial_state(prob: PdProblem, t0: float, s0: float, p0=None, q0=None) -> DRState:
     """Fresh solver state; shadow points default to zero."""
-    if t0 <= 0 or s0 <= 0:
-        raise ValueError(f"stepsizes must be positive, got t0={t0}, s0={s0}")
+    _check_steps(t0, s0, "starting stepsizes")
     p = np.zeros(prob.primal_dim) if p0 is None else np.asarray(p0, dtype=float).copy()
     q = np.zeros(prob.dual_dim) if q0 is None else np.asarray(q0, dtype=float).copy()
     if p.shape != (prob.primal_dim,) or q.shape != (prob.dual_dim,):
@@ -114,6 +123,11 @@ def initial_state(prob: PdProblem, t0: float, s0: float, p0=None, q0=None) -> DR
             f"({prob.primal_dim},), ({prob.dual_dim},)"
         )
     return DRState(p=p, q=q, t=float(t0), s=float(s0))
+
+
+def _check_steps(t: float, s: float, what: str) -> None:
+    if not (0.0 < t < math.inf and 0.0 < s < math.inf):
+        raise ValueError(f"{what} must be finite and positive, got t={t}, s={s}")
 
 
 def _cache_valid(cache: SpdFactor | None, ts: float, dim: int) -> bool:
@@ -158,31 +172,27 @@ def block_resolvent(r1, r2, t: float, s: float, coupling: LinearMap,
 
 
 def pd_dr_step(state: DRState, prob: PdProblem) -> tuple[DRState, StepOutput]:
-    """One primal-dual sweep; returns the advanced state and the shadow pair.
+    """One primal-dual sweep; advances ``state`` in place and returns it with
+    the shadow pair.
 
-    Raises
-    ------
-    IterationDiverged
-        If either prox output is non-finite (would otherwise poison the
-        linear solve with an unhelpful low-level error).
+    ``state.p`` and ``state.q`` are rebound to new arrays, never written
+    into, so arrays a caller took from the state before the sweep keep the
+    values they had.
+
+    Nothing here checks for finiteness.  A non-finite prox output passes
+    through the linear solve into the new shadow points; :func:`solve`
+    detects it from the step residual of the same sweep.
     """
-    x = prob.f_prox(state.p, state.t)
-    y = prob.gstar_prox(state.q, state.s)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise IterationDiverged(state.k, state=state)
-    u, v, cache = block_resolvent(
-        2.0 * x - state.p, 2.0 * y - state.q, state.t, state.s,
-        prob.coupling, state.factor_cache,
+    p, q, t, s = state.p, state.q, state.t, state.s
+    x = prob.f_prox(p, t)
+    y = prob.gstar_prox(q, s)
+    u, v, state.factor_cache = block_resolvent(
+        2.0 * x - p, 2.0 * y - q, t, s, prob.coupling, state.factor_cache,
     )
-    nxt = DRState(
-        p=state.p + u - x,
-        q=state.q + v - y,
-        t=state.t,
-        s=state.s,
-        k=state.k + 1,
-        factor_cache=cache,
-    )
-    return nxt, StepOutput(x=x, y=y, u=u, v=v)
+    state.p = p + u - x
+    state.q = q + v - y
+    state.k += 1
+    return state, StepOutput(x, y, u, v)
 
 
 def preconditioned_dr_step(w, delta_diag, resolvent_a, resolvent_b) -> np.ndarray:
@@ -305,32 +315,45 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
     Raises
     ------
     IterationDiverged
-        On a non-finite iterate; carries the step index and the last finite
-        state.
+        On a non-finite step residual or objective; carries the step index
+        and the last finite state (the one the diverging sweep started
+        from).
+    ValueError
+        If ``max_iter`` is below 1, ``tol`` is not finite and nonnegative,
+        or ``t0``, ``s0``, the policy's initial stepsizes or any stepsizes
+        its ``update`` returns are not finite and positive.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if tol < 0:
-        raise ValueError(f"tol must be nonnegative, got {tol}")
-    t, s = policy.initial(t0, s0)
-    state = initial_state(prob, t, s, p0=p0, q0=q0)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    _check_steps(t0, s0, "starting stepsizes")
+    state = initial_state(prob, *policy.initial(t0, s0), p0=p0, q0=q0)
+    t, s = state.t, state.s
     rows: list[TraceRow] = []
     out = None
     for k in range(max_iter):
-        prev_norm = float(np.sqrt(np.dot(state.p, state.p) + np.dot(state.q, state.q)))
-        nxt, out = pd_dr_step(state, prob)
-        dp = nxt.p - state.p
-        dq = nxt.q - state.q
-        step_norm = float(np.sqrt(np.dot(dp, dp) + np.dot(dq, dq)))
-        residual = step_norm / max(1.0, prev_norm)
+        p, q, cache = state.p, state.q, state.factor_cache
+        prev_norm = math.sqrt(p.dot(p) + q.dot(q))
+        state, out = pd_dr_step(state, prob)
+        dp = state.p - p
+        dq = state.q - q
+        residual = math.sqrt(dp.dot(dp) + dq.dot(dq)) / max(1.0, prev_norm)
         objective = float(prob.objective(out.x))
-        if not (np.isfinite(residual) and np.isfinite(objective)):
-            raise IterationDiverged(k, state=state)
-        rows.append(TraceRow(k, objective, state.t, state.s, residual))
-        nxt.t, nxt.s = policy.update(
-            state.t, state.s, out.x, state.p, out.y, state.q, k
-        )
-        state = nxt
+        # The sweep's one divergence check.  p and q are finite, so any
+        # non-finite entry of x, y, u or v makes the residual non-finite;
+        # the objective is tested too so that no trace row is non-finite.
+        if not (math.isfinite(residual) and math.isfinite(objective)):
+            raise IterationDiverged(
+                k, state=DRState(p=p, q=q, t=t, s=s, k=k, factor_cache=cache))
+        rows.append(TraceRow(k, objective, t, s, residual))
+        t, s = policy.update(t, s, out.x, p, out.y, q, k)
+        # This check keeps a stepsize that would poison the factorization
+        # out of the next sweep.
+        if not (0.0 < t < math.inf and 0.0 < s < math.inf):
+            raise ValueError(f"policy returned stepsizes t={t}, s={s} at step {k}; "
+                             "they must be finite and positive")
+        state.t, state.s = t, s
         if residual <= tol:
             break
     return out.x, out.y, SolveTrace(rows)

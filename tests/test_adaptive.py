@@ -44,6 +44,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             AdaptiveConfig(relax_t=lambda k: 0.5)
 
+    @pytest.mark.parametrize("cap", [np.nan, np.inf, 0.0])
+    def test_cap_must_be_finite_and_positive(self, cap):
+        # min(t, nan) is t, so a NaN cap would silently switch the cap off.
+        with pytest.raises(ValueError, match="cap"):
+            AdaptiveConfig(cap=cap)
+
 
 def update_t(t, x, p, k, **cfg_kw):
     cfg = AdaptiveConfig(**cfg_kw)
@@ -125,6 +131,28 @@ class TestUpdateRule:
             adaptive_update(0.0, 1.0, np.ones(1), np.ones(1),
                             np.ones(1), np.ones(1), 0, AdaptiveConfig())
 
+    def test_norms_match_numpy_bitwise(self):
+        # The rule is stated with np.linalg.norm; the update must give the
+        # same bits over inputs spanning many magnitudes.
+        cfg = AdaptiveConfig()
+        rng = np.random.default_rng(90)
+
+        def restated(step, point, shadow, k):
+            num = np.linalg.norm(point)
+            den = np.linalg.norm(shadow - point)
+            w = default_relaxation(k)
+            ratio = cfg.hi_t if den == 0.0 else num / den
+            return min(((1.0 - w) + w * min(max(ratio, cfg.lo_t), cfg.hi_t)) * step,
+                       cfg.cap)
+
+        for k in range(300):
+            dim = int(rng.integers(1, 300))
+            x, p, y, q = (rng.standard_normal(dim) * 10.0 ** rng.uniform(-8, 8)
+                          for _ in range(4))
+            t, s = (float(v) for v in rng.uniform(1e-3, 1e3, size=2))
+            got = adaptive_update(t, s, x, p, y, q, k % 60, cfg)
+            assert got == (restated(t, x, p, k % 60), restated(s, y, q, k % 60))
+
     def test_two_sides_independent(self):
         cfg = AdaptiveConfig()
         x = np.array([2.0])
@@ -145,6 +173,12 @@ class TestPolicies:
     def test_constant_validation(self):
         with pytest.raises(ValueError):
             ConstantPolicy(0.0, 1.0)
+
+    @pytest.mark.parametrize("pair", [(np.nan, 1.0), (1.0, np.nan),
+                                      (np.inf, 1.0), (1.0, -np.inf)])
+    def test_constant_rejects_nonfinite(self, pair):
+        with pytest.raises(ValueError):
+            ConstantPolicy(*pair)
 
     def test_single_step_policy_mirrors(self):
         pol = TAdaptivePolicy()

@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from drsplit import pddr
+from drsplit import experiments, pddr
 from drsplit.cli import main
+from drsplit.operators import ProxMap
 from drsplit.ppa_core import IterationDiverged
 from drsplit.report import read_scan_csv, read_trace_csv
 
@@ -156,3 +159,58 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["f_prox", "gstar_prox"])
+    def test_diverging_prox_exit_1(self, tmp_path, capsys, monkeypatch, side, bad):
+        # A real solve whose primal or dual prox goes non-finite at sweep 3
+        # is a numerical abort naming that sweep, not a usage error.
+        real = experiments.gen_lad
+
+        def gen_bombed(*args, **kwargs):
+            inst, prob = real(*args, **kwargs)
+            good = getattr(prob, side)
+            calls = [0]
+
+            def bomb(v, step):
+                out = good(v, step)
+                calls[0] += 1
+                if calls[0] > 3:
+                    out = out.copy()
+                    out[0] = bad
+                return out
+
+            return inst, replace(prob, **{side: ProxMap(bomb, tag="bomb")})
+
+        monkeypatch.setattr(experiments, "gen_lad", gen_bombed)
+        out = tmp_path / "t.csv"
+        with np.errstate(invalid="ignore"):
+            code, _, stderr = run(
+                ["lad", "--m", "20", "--n", "10", "--max-iter", "20",
+                 "--out", str(out)], capsys)
+        assert code == 1
+        assert "numerical abort: non-finite iterate at step 3" in stderr
+        assert "invalid configuration" not in stderr
+        assert not out.exists()
+
+
+class TestNonFiniteSettings:
+    @pytest.mark.parametrize("flags", [
+        ["--cap", "nan"],
+        ["--cap", "inf"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--policy", "constant", "--t0", "nan"],
+        ["--policy", "constant", "--s0", "inf"],
+        ["--t0", "nan"],
+        ["--s0=-inf"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_usage_error_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "t.csv"
+        code, _, stderr = run(
+            ["lad", "--m", "20", "--n", "10", "--max-iter", "5",
+             "--out", str(out), *flags], capsys)
+        assert code == 2
+        assert "invalid configuration" in stderr
+        assert "numerical abort" not in stderr
+        assert not out.exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from drsplit.linalg import (
     LinearMap,
@@ -82,6 +83,38 @@ class TestSpdSolve:
         fac = spd_factor(np.eye(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
             spd_solve(fac, np.ones(4))
+
+    def test_matches_cho_solve_bitwise(self):
+        rng = np.random.default_rng(9)
+        for dim in (1, 7, 100):
+            fac = spd_factor(random_spd(rng, dim))
+            rhs = rng.standard_normal(dim)
+            got = spd_solve(fac, rhs)
+            want = cho_solve((fac.lower, True), rhs)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_empty_system(self):
+        fac = spd_factor(np.eye(0))
+        assert spd_solve(fac, np.ones(0)).shape == (0,)
+
+    def test_rhs_not_overwritten(self):
+        rng = np.random.default_rng(10)
+        fac = spd_factor(random_spd(rng, 6))
+        rhs = rng.standard_normal(6)
+        kept = rhs.copy()
+        spd_solve(fac, rhs)
+        np.testing.assert_array_equal(rhs, kept)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rhs_gives_nonfinite_solution(self, bad):
+        # No finiteness scan, and no error: the solver detects divergence
+        # from its step residual instead.
+        rng = np.random.default_rng(11)
+        fac = spd_factor(random_spd(rng, 5))
+        rhs = rng.standard_normal(5)
+        rhs[2] = bad
+        x = spd_solve(fac, rhs)
+        assert not np.all(np.isfinite(x))
 
 
 class TestEig:

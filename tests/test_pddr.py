@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from drsplit import linalg
-from drsplit.adaptive import ConstantPolicy, TsAdaptivePolicy
+from drsplit.adaptive import AdaptiveConfig, ConstantPolicy, TsAdaptivePolicy
 from drsplit.linalg import LinearMap
 from drsplit.operators import (
     ProxMap,
@@ -24,10 +27,13 @@ from drsplit.pddr import (
 from drsplit.ppa_core import IterationDiverged
 
 
-def lad_like(seed=0, m=12, n=8, weight=1.0):
+def lad_data(seed=0, m=12, n=8):
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((m, n))
-    b = rng.standard_normal(m)
+    return rng.standard_normal((m, n)), rng.standard_normal(m)
+
+
+def lad_like(seed=0, m=12, n=8, weight=1.0):
+    a, b = lad_data(seed, m, n)
     return PdProblem(
         f_prox=scaled_l1_prox(weight),
         gstar_prox=shifted_l1_conjugate_prox(b),
@@ -181,6 +187,52 @@ class TestSweep:
             solve(bad, ConstantPolicy(1.0, 1.0), max_iter=100, tol=0.0)
         assert info.value.step == 5
 
+    @pytest.mark.parametrize("policy", [ConstantPolicy(1.0, 1.0), TsAdaptivePolicy()],
+                             ids=["constant", "ts-adaptive"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["f_prox", "gstar_prox"])
+    def test_nonfinite_prox_output_is_typed_divergence(self, side, bad, policy):
+        # A non-finite prox output on either side, in the first entry only,
+        # must end the run with IterationDiverged at that sweep, carrying
+        # the finite state the sweep started from: never a ValueError or
+        # NotPositiveDefiniteError from the linear solve below the prox.
+        prob = with_bad_prox(lad_like(13), side, bad, after=7)
+        with np.errstate(invalid="ignore"), pytest.raises(IterationDiverged) as info:
+            solve(prob, policy, max_iter=50, tol=0.0)
+        err = info.value
+        assert err.step == 7
+        assert err.state.k == 7
+        assert np.all(np.isfinite(err.state.p)) and np.all(np.isfinite(err.state.q))
+        assert np.isfinite(err.state.t) and np.isfinite(err.state.s)
+
+    def test_diverged_state_is_the_state_before_the_bad_sweep(self):
+        # The state carried by the exception equals, bitwise, the state a
+        # clean run holds after the same number of sweeps.
+        clean = lad_like(14)
+        state = initial_state(clean, 1.0, 1.0)
+        for _ in range(4):
+            state, _ = pd_dr_step(state, clean)
+        with pytest.raises(IterationDiverged) as info:
+            solve(with_bad_prox(clean, "gstar_prox", np.nan, after=4),
+                  ConstantPolicy(1.0, 1.0), max_iter=50, tol=0.0)
+        got = info.value.state
+        assert got.k == state.k == 4
+        np.testing.assert_array_equal(got.p, state.p)
+        np.testing.assert_array_equal(got.q, state.q)
+
+    def test_nonfinite_objective_is_typed_divergence(self):
+        prob = lad_like(15)
+        calls = [0]
+
+        def objective(x):
+            calls[0] += 1
+            return np.inf if calls[0] > 3 else prob.objective(x)
+
+        bad = PdProblem(prob.f_prox, prob.gstar_prox, prob.coupling, objective)
+        with pytest.raises(IterationDiverged) as info:
+            solve(bad, ConstantPolicy(1.0, 1.0), max_iter=20, tol=0.0)
+        assert info.value.step == 3
+
     def test_validation(self):
         prob = lad_like(7)
         with pytest.raises(ValueError):
@@ -192,6 +244,39 @@ class TestSweep:
         with pytest.raises(ValueError):
             initial_state(prob, 1.0, 1.0, p0=np.zeros(3))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": np.nan}, {"tol": np.inf},
+        {"t0": np.nan}, {"t0": np.inf}, {"t0": -1.0},
+        {"s0": np.nan}, {"s0": -np.inf}, {"s0": 0.0},
+    ])
+    def test_nonfinite_settings_rejected(self, kwargs):
+        prob = lad_like(7)
+        settings = {"tol": 0.0, **kwargs}
+        for policy in (ConstantPolicy(1.0, 1.0), TsAdaptivePolicy()):
+            with pytest.raises(ValueError):
+                solve(prob, policy, max_iter=5, **settings)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_policy_results_checked(self, bad):
+        # A policy that hands back a stepsize the factorization cannot use
+        # is stopped with a ValueError at the step that produced it.
+        class Faulty:
+            def initial(self, t0, s0):
+                return t0, s0
+
+            def update(self, t, s, x, p, y, q, k):
+                return (t, bad) if k == 2 else (t, s)
+
+        with pytest.raises(ValueError, match="at step 2"):
+            solve(lad_like(7), Faulty(), max_iter=10, tol=0.0)
+
+        class FaultyStart(Faulty):
+            def initial(self, t0, s0):
+                return bad, s0
+
+        with pytest.raises(ValueError):
+            solve(lad_like(7), FaultyStart(), max_iter=10, tol=0.0)
+
     def test_warm_start_continues(self):
         prob = lad_like(8)
         x1, y1, tr1 = solve(prob, ConstantPolicy(1.0, 1.0),
@@ -202,6 +287,111 @@ class TestSweep:
         _, _, tr_a = solve(prob, ConstantPolicy(1.0, 1.0),
                            max_iter=20, tol=0.0)
         assert tr_a.rows[-1].objective >= tr1.rows[-1].objective - 1e-9
+
+
+def with_bad_prox(prob, side, bad, after):
+    """``prob`` with its ``side`` prox (``"f_prox"`` or ``"gstar_prox"``)
+    writing ``bad`` into the first entry of its output from sweep ``after`` on."""
+    calls = [0]
+    good = getattr(prob, side)
+
+    def bomb(v, step):
+        out = good(v, step)
+        calls[0] += 1
+        if calls[0] > after:
+            out = out.copy()
+            out[0] = bad
+        return out
+
+    return replace(prob, **{side: ProxMap(bomb, tag="bomb")})
+
+
+def reference_lad_run(a, b, weight, policy, sweeps):
+    """The sweep, the solve loop and the two-sided adaptive rule restated in
+    plain numpy for LAD, with the coupled solve through ``spd_factor`` and
+    ``scipy.linalg.cho_solve``.  Returns x, y and the trace rows."""
+    m, n = a.shape
+    cfg = AdaptiveConfig()
+    adaptive = isinstance(policy, TsAdaptivePolicy)
+    t, s = policy.initial(1.0, 1.0)
+    p, q = np.zeros(n), np.zeros(m)
+    dual_side = m < n
+    gram = a @ a.T if dual_side else a.T @ a
+    factor = None
+    rows = []
+
+    def one_side(step, point, shadow, k, lo, hi):
+        num = np.linalg.norm(point)
+        den = np.linalg.norm(shadow - point)
+        if den == 0.0:
+            if num == 0.0:
+                return step
+            ratio = hi
+        else:
+            ratio = num / den
+        w = 2.0 ** (-k)
+        return min(((1.0 - w) + w * min(max(ratio, lo), hi)) * step, cfg.cap)
+
+    for k in range(sweeps):
+        x = np.sign(p) * np.maximum(np.abs(p) - t * weight, 0.0)
+        z = q - s * b
+        y = z - np.sign(z) * np.maximum(np.abs(z) - 1.0, 0.0)
+        r1, r2 = 2.0 * x - p, 2.0 * y - q
+        ts = t * s
+        # The solver keeps its factor while t*s moves by at most 1e-12
+        # relative, so the restatement does too.
+        if factor is None or abs(factor.fingerprint - ts) > 1e-12 * abs(ts):
+            factor = linalg.spd_factor(np.eye(gram.shape[0]) + ts * gram, fingerprint=ts)
+        if dual_side:
+            v = cho_solve((factor.lower, True), r2 + s * (a @ r1))
+            u = r1 - t * (a.T @ v)
+        else:
+            u = cho_solve((factor.lower, True), r1 - t * (a.T @ r2))
+            v = r2 + s * (a @ u)
+        p_next, q_next = p + u - x, q + v - y
+        prev = np.sqrt(np.dot(p, p) + np.dot(q, q))
+        dp, dq = p_next - p, q_next - q
+        residual = float(np.sqrt(np.dot(dp, dp) + np.dot(dq, dq))) / max(1.0, prev)
+        objective = float(np.abs(a @ x - b).sum() + weight * np.abs(x).sum())
+        rows.append((k, objective, t, s, residual))
+        if adaptive:
+            t, s = (one_side(t, x, p, k, cfg.lo_t, cfg.hi_t),
+                    one_side(s, y, q, k, cfg.lo_s, cfg.hi_s))
+        p, q = p_next, q_next
+    return x, y, np.array(rows)
+
+
+def assert_bitwise(got, want):
+    np.testing.assert_array_equal(got, want)
+    # assert_array_equal takes -0.0 == 0.0; the bit patterns may not differ.
+    np.testing.assert_array_equal(np.asarray(got).view(np.int64),
+                                  np.asarray(want).view(np.int64))
+
+
+class TestNoArithmeticChange:
+    # The solver must compute exactly what the plain restatement computes:
+    # leaner wrappers, fewer checks and fewer allocations in the sweep may
+    # not move a single bit of x, y or the trace.
+    @pytest.mark.parametrize("policy", [ConstantPolicy(1.1, 0.9), TsAdaptivePolicy()],
+                             ids=["constant", "ts-adaptive"])
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30)], ids=["tall", "wide"])
+    def test_solve_matches_plain_restatement(self, policy, shape):
+        a, b = lad_data(21, *shape)
+        weight = 0.7
+        prob = PdProblem(
+            f_prox=scaled_l1_prox(weight),
+            gstar_prox=shifted_l1_conjugate_prox(b),
+            coupling=LinearMap(a),
+            objective=lambda x: float(np.abs(a @ x - b).sum() + weight * np.abs(x).sum()),
+        )
+        x, y, trace = solve(prob, policy, max_iter=200, tol=0.0)
+        x_ref, y_ref, rows_ref = reference_lad_run(a, b, weight, policy, 200)
+        assert_bitwise(x, x_ref)
+        assert_bitwise(y, y_ref)
+        assert_bitwise(np.array(trace.rows, dtype=float), rows_ref)
+        if isinstance(policy, TsAdaptivePolicy):
+            # The run must exercise the adaptive rule, not sit at (1, 1).
+            assert len({(r.t, r.s) for r in trace.rows}) > 10
 
 
 class TestGoverningForm:
