@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from . import pddr
-from .linalg import LinearMap
+from .linalg import DifferenceMap, LinearMap
 from .operators import (
     box_dual_prox,
     quadratic_fidelity_prox,
@@ -55,7 +55,7 @@ class TvInstance:
     """Noisy piecewise-constant signal for total-variation denoising."""
 
     noisy: np.ndarray
-    difference: LinearMap
+    difference: DifferenceMap
     reg_weight: float
     seed: int
 
@@ -92,18 +92,12 @@ def gen_lad(seed: int, m: int = 200, n: int = 100,
     return inst, make_lad_problem(design, observations, reg_weight)
 
 
-def forward_difference_map(n: int) -> LinearMap:
-    """Forward differences as an (n-1) x n dense operator."""
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
-    d = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
-    d[idx, idx] = -1.0
-    d[idx, idx + 1] = 1.0
-    return LinearMap(d)
+def forward_difference_map(n: int) -> DifferenceMap:
+    """Forward differences as an (n-1) x n structured operator."""
+    return DifferenceMap(n)
 
 
-def make_tv_problem(noisy, reg_weight: float) -> tuple[PdProblem, LinearMap]:
+def make_tv_problem(noisy, reg_weight: float) -> tuple[PdProblem, DifferenceMap]:
     """Wire ``min_x 0.5 ||x - noisy||^2 + reg_weight * ||Dx||_1``."""
     y = np.asarray(noisy, dtype=float)
     if reg_weight <= 0:

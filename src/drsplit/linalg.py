@@ -1,9 +1,16 @@
-"""Dense linear-algebra kernels shared by the solver and analysis modules.
+"""Linear-algebra kernels shared by the solver and analysis modules.
 
-Everything operates on plain float64 numpy arrays at desk scale (a few
-hundred rows); matrices are always materialized densely.  The routines here
-wrap LAPACK through numpy/scipy and add the dimension, symmetry, and
-definiteness checks the callers rely on.
+Everything operates on plain float64 numpy arrays.  General matrices are
+materialized densely, at desk scale (a few hundred rows); the one structured
+operator, :class:`DifferenceMap`, is applied by slicing and never stores its
+matrix, so it scales to millions of samples.  The routines here wrap LAPACK
+through numpy/scipy and add the dimension, symmetry, and definiteness checks
+the callers rely on.
+
+A coupling operator owns the solve with its Schur complement
+``I + ts*KK'`` or ``I + ts*K'K`` (:meth:`LinearMap.schur_factor` and
+:meth:`LinearMap.schur_solve`): a dense Cholesky factor for a general K, a
+banded one, O(n), for forward differences.
 
 Matrices are checked for finiteness where they are factored or
 decomposed, once.  :func:`spd_solve` runs inside every solver sweep and
@@ -13,14 +20,17 @@ residual (see :mod:`drsplit.pddr`).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 
 __all__ = [
+    "BandedFactor",
+    "DifferenceMap",
     "EigenConvergenceError",
     "LinearMap",
     "NotPositiveDefiniteError",
@@ -28,6 +38,7 @@ __all__ = [
     "SpdFactor",
     "eig_all",
     "eig_pairs",
+    "scaled_norm",
     "seminorm",
     "spd_factor",
     "spd_solve",
@@ -80,6 +91,24 @@ class SpdFactor:
     dim: int
     lower: np.ndarray
     fingerprint: float = float("nan")
+
+
+@dataclass(frozen=True, eq=False)
+class BandedFactor:
+    """Cholesky factor of a symmetric positive definite band matrix.
+
+    ``bands`` holds the factor in LAPACK lower band storage: row 0 is the
+    diagonal, row j the j-th subdiagonal, left-aligned.  ``fingerprint``
+    has the meaning it has on :class:`SpdFactor`.
+    """
+
+    dim: int
+    bands: np.ndarray
+    fingerprint: float = float("nan")
+
+
+# What LinearMap.schur_factor returns, by operator type.
+SchurFactor = SpdFactor | BandedFactor
 
 
 def spd_factor(s_mat, fingerprint: float = float("nan")) -> SpdFactor:
@@ -168,6 +197,24 @@ def eig_all(mat) -> np.ndarray:
     return vals
 
 
+def scaled_norm(*vecs) -> float:
+    """Euclidean norm of 1-D float vectors stacked end to end, overflow-safe.
+
+    Sums the squares of the vectors divided by their largest magnitude, so it
+    overflows only where the norm itself does.  It is slower than
+    ``math.sqrt(v.dot(v))``; callers use it where that comes out non-finite.
+    Returns inf or NaN if an entry is inf or NaN.
+    """
+    scale = float(np.max([np.abs(v).max(initial=0.0) for v in vecs]))
+    if not 0.0 < scale < math.inf:
+        return scale
+    total = 0.0
+    for v in vecs:
+        w = v / scale
+        total += w.dot(w)
+    return scale * math.sqrt(total)
+
+
 def seminorm(u, mat) -> float:
     """Seminorm sqrt(<M u, u>) induced by a symmetric PSD matrix M.
 
@@ -236,3 +283,99 @@ class LinearMap:
     def gram_rows(self) -> np.ndarray:
         """K @ K.T, cached."""
         return self.mat @ self.mat.T
+
+    # The Schur complement acts on the smaller side: the dual one when
+    # rows < cols, the primal one otherwise.  pddr.block_resolvent forms the
+    # right-hand side to match.
+    def schur_factor(self, ts: float) -> SpdFactor:
+        """Factor of ``I + ts*KK'`` (rows < cols) or ``I + ts*K'K`` (otherwise),
+        tagged with ``ts`` as its fingerprint."""
+        gram = self.gram_rows if self.rows < self.cols else self.gram_cols
+        return spd_factor(np.eye(gram.shape[0]) + ts * gram, fingerprint=ts)
+
+    def schur_solve(self, factor: SpdFactor, rhs) -> np.ndarray:
+        """Solve with the Schur complement, given its :meth:`schur_factor`."""
+        return spd_solve(factor, rhs)
+
+
+class DifferenceMap(LinearMap):
+    """Forward differences ``(Dx)_i = x_{i+1} - x_i`` as an (n-1) x n operator.
+
+    Products work by slicing, in O(n); for finite input they equal the dense
+    products bit for bit.  ``DD'`` is tridiagonal (2 on the diagonal, -1
+    beside it), so the Schur complement ``I + ts*DD'`` is factored and solved
+    by banded Cholesky, also in O(n).  The dense matrix is built only when
+    ``mat`` (or a Gram matrix) is read.
+    """
+
+    def __init__(self, n: int):
+        n = operator.index(n)
+        if n < 2:
+            raise ValueError(f"need at least 2 samples, got {n}")
+        self.n = n
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n - 1, self.n
+
+    @property
+    def rows(self) -> int:
+        return self.n - 1
+
+    @property
+    def cols(self) -> int:
+        return self.n
+
+    @cached_property
+    def mat(self) -> np.ndarray:
+        d = np.zeros((self.n - 1, self.n))
+        idx = np.arange(self.n - 1)
+        d[idx, idx] = -1.0
+        d[idx, idx + 1] = 1.0
+        return d
+
+    def matvec(self, x) -> np.ndarray:
+        v = np.asarray(x, dtype=float)
+        if v.shape != (self.n,):
+            raise ValueError(f"dimension mismatch: expected {self.n}, got {v.shape}")
+        return v[1:] - v[:-1]
+
+    def rmatvec(self, y) -> np.ndarray:
+        v = np.asarray(y, dtype=float)
+        if v.shape != (self.n - 1,):
+            raise ValueError(
+                f"dimension mismatch: expected {self.n - 1}, got {v.shape}")
+        out = np.empty(self.n)
+        out[0] = -v[0]
+        np.subtract(v[:-1], v[1:], out=out[1:-1])
+        out[-1] = v[-1]
+        return out
+
+    def schur_factor(self, ts: float) -> BandedFactor:
+        """Banded Cholesky factor of ``I + ts*DD'``, tagged with ``ts``."""
+        if not math.isfinite(ts):
+            raise ValueError(f"Schur complement has non-finite entries (ts={ts})")
+        bands = np.empty((2, self.n - 1))
+        bands[0] = 1.0 + 2.0 * ts
+        bands[1] = -ts
+        c, info = dpbtrf(bands, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise NotPositiveDefiniteError(info - 1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of banded Cholesky call")
+        return BandedFactor(dim=self.n - 1, bands=c, fingerprint=float(ts))
+
+    def schur_solve(self, factor: BandedFactor, rhs) -> np.ndarray:
+        """Solve with ``I + ts*DD'`` given its :meth:`schur_factor`.
+
+        Like :func:`spd_solve`, scans nothing for finiteness.
+        """
+        b = np.asarray(rhs, dtype=float)
+        if b.shape != (factor.dim,):
+            raise ValueError(
+                f"dimension mismatch: factor is {factor.dim}, rhs has shape {b.shape}"
+            )
+        x, info = dpbtrs(factor.bands, b, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of banded solve call")
+        return x

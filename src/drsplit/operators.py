@@ -60,7 +60,7 @@ def prox_shifted_l1_conj(y, step: float, shift) -> np.ndarray:
     if v.shape != b.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs shift {b.shape}")
     z = v - step * b
-    return z - np.sign(z) * np.maximum(np.abs(z) - 1.0, 0.0)
+    return np.clip(z, -1.0, 1.0)
 
 
 def prox_quadratic_fidelity(p, step: float, data) -> np.ndarray:

@@ -10,8 +10,11 @@ The solver alternates two proxes with a coupled linear correction step.  For
     q <- q + v - y
 
 and the candidate solution is the shadow pair (x, y).  The linear solve goes
-through a Cholesky factor of the Schur complement, cached on the product
-t * s so constant-stepsize runs factor exactly once.
+through the Schur complement, factored and solved by the coupling operator
+itself (:meth:`~drsplit.linalg.LinearMap.schur_factor` and
+:meth:`~drsplit.linalg.LinearMap.schur_solve`): a dense Cholesky factor for
+a general K, a banded one, O(n), for forward differences.  The factor is
+cached on the product t * s so constant-stepsize runs factor exactly once.
 
 Divergence is detected in one place, :func:`solve`, once per sweep and on
 scalars: the step residual and the objective.  The sweep itself scans no
@@ -30,7 +33,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import LinearMap, SpdFactor
+from .linalg import LinearMap, SchurFactor
 from .operators import ProxMap
 from .ppa_core import IterationDiverged, PreconditionedResolvent
 
@@ -86,7 +89,7 @@ class DRState:
     t: float
     s: float
     k: int = 0
-    factor_cache: SpdFactor | None = None
+    factor_cache: SchurFactor | None = None
 
 
 class StepOutput(NamedTuple):
@@ -130,7 +133,7 @@ def _check_steps(t: float, s: float, what: str) -> None:
         raise ValueError(f"{what} must be finite and positive, got t={t}, s={s}")
 
 
-def _cache_valid(cache: SpdFactor | None, ts: float, dim: int) -> bool:
+def _cache_valid(cache: SchurFactor | None, ts: float, dim: int) -> bool:
     return (
         cache is not None
         and cache.dim == dim
@@ -139,13 +142,14 @@ def _cache_valid(cache: SpdFactor | None, ts: float, dim: int) -> bool:
 
 
 def block_resolvent(r1, r2, t: float, s: float, coupling: LinearMap,
-                    cache: SpdFactor | None = None):
+                    cache: SchurFactor | None = None):
     """Solve u + t K'v = r1, -s K u + v = r2 by Schur complement.
 
     The factorization acts on whichever side is smaller: I + t*s*K'K when the
-    primal dimension is smaller or equal, I + t*s*KK' otherwise.  Returns
-    ``(u, v, factor)`` where the factor can be fed back in as ``cache``; it is
-    reused as long as t*s is unchanged to relative 1e-12.
+    primal dimension is smaller or equal, I + t*s*KK' otherwise; the
+    coupling builds and applies it (``schur_factor``, ``schur_solve``).
+    Returns ``(u, v, factor)`` where the factor can be fed back in as
+    ``cache``; it is reused as long as t*s is unchanged to relative 1e-12.
     """
     if t <= 0 or s <= 0:
         raise ValueError(f"stepsizes must be positive, got t={t}, s={s}")
@@ -158,15 +162,13 @@ def block_resolvent(r1, r2, t: float, s: float, coupling: LinearMap,
         )
     ts = t * s
     dual_side = rows < cols
-    dim = rows if dual_side else cols
-    if not _cache_valid(cache, ts, dim):
-        gram = coupling.gram_rows if dual_side else coupling.gram_cols
-        cache = linalg.spd_factor(np.eye(dim) + ts * gram, fingerprint=ts)
+    if not _cache_valid(cache, ts, rows if dual_side else cols):
+        cache = coupling.schur_factor(ts)
     if dual_side:
-        v = linalg.spd_solve(cache, b + s * coupling.matvec(a))
+        v = coupling.schur_solve(cache, b + s * coupling.matvec(a))
         u = a - t * coupling.rmatvec(v)
     else:
-        u = linalg.spd_solve(cache, a - t * coupling.rmatvec(b))
+        u = coupling.schur_solve(cache, a - t * coupling.rmatvec(b))
         v = b + s * coupling.matvec(u)
     return u, v, cache
 
@@ -235,7 +237,7 @@ def stacked_prox_resolvent(prob: PdProblem):
 def coupling_block_resolvent(prob: PdProblem):
     """Resolvent of the skew coupling block, with its own factor cache."""
     n = prob.primal_dim
-    cache: list[SpdFactor | None] = [None]
+    cache: list[SchurFactor | None] = [None]
 
     def apply(w, dd):
         t, s = _block_steps(np.asarray(dd, dtype=float), n)
@@ -334,11 +336,18 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
     out = None
     for k in range(max_iter):
         p, q, cache = state.p, state.q, state.factor_cache
+        # The squares overflow for finite points above about 1e154; only then
+        # is the norm recomputed, scaled.
         prev_norm = math.sqrt(p.dot(p) + q.dot(q))
+        if not prev_norm < math.inf:
+            prev_norm = linalg.scaled_norm(p, q)
         state, out = pd_dr_step(state, prob)
         dp = state.p - p
         dq = state.q - q
-        residual = math.sqrt(dp.dot(dp) + dq.dot(dq)) / max(1.0, prev_norm)
+        step_norm = math.sqrt(dp.dot(dp) + dq.dot(dq))
+        if not step_norm < math.inf:
+            step_norm = linalg.scaled_norm(dp, dq)
+        residual = step_norm / max(1.0, prev_norm)
         objective = float(prob.objective(out.x))
         # The sweep's one divergence check.  p and q are finite, so any
         # non-finite entry of x, y, u or v makes the residual non-finite;

@@ -153,6 +153,18 @@ class TestUpdateRule:
             got = adaptive_update(t, s, x, p, y, q, k % 60, cfg)
             assert got == (restated(t, x, p, k % 60), restated(s, y, q, k % 60))
 
+    def test_norms_overflow_safe(self):
+        # Finite vectors whose squares overflow give the ratio their
+        # rescaled copies give, not NaN.
+        cfg = AdaptiveConfig()
+        rng = np.random.default_rng(91)
+        x, p, y, q = (rng.standard_normal(30) for _ in range(4))
+        with np.errstate(over="ignore"):
+            big = adaptive_update(0.7, 1.3, 1e160 * x, 1e160 * p, 1e200 * y, 1e200 * q,
+                                  1, cfg)
+        small = adaptive_update(0.7, 1.3, x, p, y, q, 1, cfg)
+        assert big == pytest.approx(small, rel=1e-14)
+
     def test_two_sides_independent(self):
         cfg = AdaptiveConfig()
         x = np.array([2.0])

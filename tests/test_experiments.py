@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -13,6 +15,7 @@ from drsplit.experiments import (
     make_tv_problem,
     run_comparison,
 )
+from drsplit.linalg import LinearMap
 from drsplit.pddr import solve
 
 
@@ -109,6 +112,34 @@ class TestDifferenceMap:
     def test_too_short(self):
         with pytest.raises(ValueError):
             forward_difference_map(1)
+
+    @pytest.mark.parametrize("policy", [TsAdaptivePolicy(), ConstantPolicy(1.1, 0.9)],
+                             ids=["ts-adaptive", "constant"])
+    def test_solves_agree_with_dense_coupling(self, policy):
+        # The criterion-8 sweep through the banded solve and through the
+        # same operator stored densely: equal up to rounding.
+        for weight in (0.01, 0.1, 1.0, 10.0):
+            _, prob = gen_tv(0, reg_weight=weight)
+            dense = replace(prob, coupling=LinearMap(prob.coupling.mat))
+            x, y, trace = solve(prob, policy, max_iter=1000, tol=0.0)
+            x_d, y_d, trace_d = solve(dense, policy, max_iter=1000, tol=0.0)
+            np.testing.assert_allclose(x, x_d, rtol=1e-10, atol=1e-10 * np.abs(x_d).max())
+            np.testing.assert_allclose(y, y_d, rtol=1e-10, atol=1e-10 * np.abs(y_d).max())
+            rows, rows_d = np.array(trace.rows), np.array(trace_d.rows)
+            # k, objective, t and s relative; the residual is already a
+            # relative step length that falls to rounding level, so it also
+            # gets an absolute tolerance.
+            np.testing.assert_allclose(rows[:, :4], rows_d[:, :4], rtol=1e-10)
+            np.testing.assert_allclose(rows[:, 4], rows_d[:, 4], rtol=1e-10, atol=1e-12)
+
+    def test_million_samples_without_dense_matrix(self):
+        # The dense matrix would take 8 TB; the structured operator never
+        # builds it.
+        rng = np.random.default_rng(5)
+        prob, diff = make_tv_problem(rng.standard_normal(10**6), 0.3)
+        x, _, trace = solve(prob, TsAdaptivePolicy(), max_iter=5, tol=0.0)
+        assert len(trace.rows) == 5 and np.all(np.isfinite(x))
+        assert "mat" not in diff.__dict__
 
 
 class TestObjectives:

@@ -3,11 +3,13 @@ import pytest
 from scipy.linalg import cho_solve
 
 from drsplit.linalg import (
+    DifferenceMap,
     LinearMap,
     NotPositiveDefiniteError,
     NotPsdError,
     eig_all,
     eig_pairs,
+    scaled_norm,
     seminorm,
     spd_factor,
     spd_solve,
@@ -219,3 +221,75 @@ class TestLinearMap:
             op.matvec(np.ones(2))
         with pytest.raises(ValueError, match="dimension mismatch"):
             op.rmatvec(np.ones(3))
+
+
+class TestScaledNorm:
+    def test_matches_plain_norm(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            a = rng.standard_normal(int(rng.integers(0, 40))) * 10.0 ** rng.uniform(-5, 5)
+            b = rng.standard_normal(int(rng.integers(1, 40)))
+            want = np.linalg.norm(np.concatenate([a, b]))
+            assert scaled_norm(a, b) == pytest.approx(want, rel=1e-14)
+
+    def test_no_overflow_for_finite_vectors(self):
+        v = np.full(100, 1e300)
+        assert scaled_norm(v) == pytest.approx(1e301, rel=1e-14)
+        assert scaled_norm(np.full(4, 1e160), np.zeros(3)) == pytest.approx(2e160, rel=1e-14)
+
+    def test_nonfinite_and_zero(self):
+        assert scaled_norm(np.zeros(3), np.empty(0)) == 0.0
+        assert np.isnan(scaled_norm(np.array([1.0, np.nan]), np.array([np.inf])))
+        assert np.isnan(scaled_norm(np.array([np.inf]), np.array([np.nan])))
+        assert scaled_norm(np.array([1.0, -np.inf])) == np.inf
+
+
+class TestDifferenceMap:
+    @pytest.mark.parametrize("n", [2, 3, 50, 501])
+    def test_products_bitwise_equal_dense(self, n):
+        rng = np.random.default_rng(n)
+        d = DifferenceMap(n)
+        dense = LinearMap(d.mat)
+        for _ in range(5):
+            x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8)
+            y = rng.standard_normal(n - 1) * 10.0 ** rng.uniform(-8, 8)
+            np.testing.assert_array_equal(d.matvec(x).view(np.int64),
+                                          dense.matvec(x).view(np.int64))
+            np.testing.assert_array_equal(d.rmatvec(y).view(np.int64),
+                                          dense.rmatvec(y).view(np.int64))
+
+    def test_shape_without_dense_matrix(self):
+        d = DifferenceMap(7)
+        assert d.shape == (6, 7) and d.rows == 6 and d.cols == 7
+        d.matvec(np.ones(7))
+        d.rmatvec(np.ones(6))
+        assert "mat" not in d.__dict__
+        assert d.mat.shape == (6, 7)
+
+    def test_shape_checks(self):
+        d = DifferenceMap(4)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            d.matvec(np.ones(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            d.rmatvec(np.ones(4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            d.schur_solve(d.schur_factor(1.0), np.ones(4))
+        with pytest.raises(ValueError):
+            DifferenceMap(1)
+        with pytest.raises(TypeError):
+            DifferenceMap(5.5)
+
+    def test_schur_factor_matches_dense(self):
+        rng = np.random.default_rng(43)
+        d = DifferenceMap(9)
+        for ts in (1e-6, 0.3, 1.0, 1e8):
+            fac = d.schur_factor(ts)
+            assert fac.fingerprint == ts and fac.dim == 8
+            rhs = rng.standard_normal(8)
+            want = np.linalg.solve(np.eye(8) + ts * d.mat @ d.mat.T, rhs)
+            np.testing.assert_allclose(d.schur_solve(fac, rhs), want,
+                                       rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+    def test_schur_factor_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            DifferenceMap(5).schur_factor(np.inf)

@@ -146,6 +146,15 @@ class TestShiftedL1Conj:
         np.testing.assert_allclose(
             prox_shifted_l1_conj(y, 3.7, np.zeros(3)), y, atol=1e-15)
 
+    def test_clamp_holds_beyond_integer_precision(self):
+        # Above 2**53 the clamp must still give the box face, not the
+        # difference of two equal roundings.
+        np.testing.assert_array_equal(
+            prox_shifted_l1_conj(np.array([1e17]), 0.0, np.zeros(1)), [1.0])
+        np.testing.assert_array_equal(
+            prox_shifted_l1_conj(np.array([-1e300, 1e300]), 2.0, np.ones(2)),
+            [-1.0, 1.0])
+
 
 def componentwise_soft(u, thresholds):
     return np.sign(u) * np.maximum(np.abs(u) - thresholds, 0.0)

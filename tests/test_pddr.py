@@ -6,7 +6,8 @@ from scipy.linalg import cho_solve
 
 from drsplit import linalg
 from drsplit.adaptive import AdaptiveConfig, ConstantPolicy, TsAdaptivePolicy
-from drsplit.linalg import LinearMap
+from drsplit.experiments import make_tv_problem
+from drsplit.linalg import DifferenceMap, LinearMap
 from drsplit.operators import (
     ProxMap,
     quadratic_fidelity_prox,
@@ -98,6 +99,22 @@ class TestBlockResolvent:
             scale = max(1.0, np.linalg.norm(r1), np.linalg.norm(r2))
             assert np.linalg.norm(u + t * kmat.T @ v - r1) <= 1e-10 * scale
             assert np.linalg.norm(-s * kmat @ u + v - r2) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 500, 5000])
+    def test_residual_bound_difference_map(self, n):
+        # The banded Schur solve meets the block equations over the whole
+        # stepsize envelope, t and s from the safeguard floor to the cap.
+        rng = np.random.default_rng(n + 1)
+        op = DifferenceMap(n)
+        for _ in range(20):
+            t, s = (float(v) for v in 10.0 ** rng.uniform(-6, 4, size=2))
+            r1 = rng.standard_normal(n)
+            r2 = rng.standard_normal(n - 1)
+            u, v, fac = block_resolvent(r1, r2, t, s, op)
+            assert fac.fingerprint == t * s
+            scale = max(1.0, np.linalg.norm(r1), np.linalg.norm(r2))
+            assert np.linalg.norm(u + t * op.rmatvec(v) - r1) <= 1e-10 * scale
+            assert np.linalg.norm(-s * op.matvec(u) + v - r2) <= 1e-10 * scale
 
     def test_cache_reuse_and_invalidation(self):
         rng = np.random.default_rng(29)
@@ -204,6 +221,33 @@ class TestSweep:
         assert err.state.k == 7
         assert np.all(np.isfinite(err.state.p)) and np.all(np.isfinite(err.state.q))
         assert np.isfinite(err.state.t) and np.isfinite(err.state.s)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["f_prox", "gstar_prox"])
+    def test_nonfinite_tv_prox_output_is_typed_divergence(self, side, bad):
+        # The same contract through the banded solve of the structured
+        # forward-difference coupling.
+        rng = np.random.default_rng(16)
+        prob, _ = make_tv_problem(rng.standard_normal(40), 0.5)
+        with np.errstate(invalid="ignore"), pytest.raises(IterationDiverged) as info:
+            solve(with_bad_prox(prob, side, bad, after=6), TsAdaptivePolicy(),
+                  max_iter=50, tol=0.0)
+        assert info.value.step == 6
+        assert np.all(np.isfinite(info.value.state.p))
+        assert np.all(np.isfinite(info.value.state.q))
+
+    @pytest.mark.parametrize("policy", [ConstantPolicy(1.0, 1.0), TsAdaptivePolicy()],
+                             ids=["constant", "ts-adaptive"])
+    def test_huge_finite_start_does_not_diverge(self, policy):
+        # Shadow points near 1e160 have norms whose squares overflow; the
+        # iterates stay finite, so the run must not be reported as diverged.
+        prob = lad_like(17, m=20, n=10)
+        with np.errstate(over="ignore"):
+            x, y, trace = solve(prob, policy, max_iter=50, tol=0.0,
+                                p0=np.full(10, 1e160))
+        assert len(trace.rows) == 50
+        assert np.all(np.isfinite(np.array(trace.rows, dtype=float)))
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
 
     def test_diverged_state_is_the_state_before_the_bad_sweep(self):
         # The state carried by the exception equals, bitwise, the state a
