@@ -27,6 +27,7 @@ __all__ = ["main"]
 _NUMERICAL_ERRORS = (
     IterationDiverged,
     EigenConvergenceError,
+    spectral.IdentityCheckError,
     NotPositiveDefiniteError,
     NotPsdError,
     np.linalg.LinAlgError,

@@ -171,8 +171,8 @@ def gen_monotone_pair(seed: int, half_dim: int = 25) -> LinearMonotonePair:
 
 def log_grid(lo: float, hi: float, num: int) -> np.ndarray:
     """Logarithmically spaced grid, endpoints included."""
-    if not 0 < lo <= hi:
-        raise ValueError(f"need 0 < lo <= hi, got {lo}, {hi}")
+    if not 0 < lo <= hi < np.inf:
+        raise ValueError(f"need 0 < lo <= hi < inf, got {lo}, {hi}")
     if num < 1:
         raise ValueError(f"need at least one grid point, got {num}")
     return np.geomspace(lo, hi, num)

@@ -12,6 +12,10 @@ A coupling operator owns the solve with its Schur complement
 :meth:`LinearMap.schur_solve`): a dense Cholesky factor for a general K, a
 banded one, O(n), for forward differences.
 
+Eigenvectors are computed only where they are used, by :func:`eig_pairs`
+(the spectral disc report); spectral radii and stepsize scans call
+:func:`eig_all`, which computes eigenvalues only.
+
 Matrices are checked for finiteness where they are factored or
 decomposed, once.  :func:`spd_solve` runs inside every solver sweep and
 scans nothing: a non-finite right-hand side comes back as a non-finite
@@ -111,6 +115,15 @@ class BandedFactor:
 SchurFactor = SpdFactor | BandedFactor
 
 
+def _check_factor_kind(op, factor, kind: type) -> None:
+    """Reject a Schur factor made for another kind of operator."""
+    if not isinstance(factor, kind):
+        raise ValueError(
+            f"{type(op).__name__} solves with a {kind.__name__}, "
+            f"got a {type(factor).__name__}"
+        )
+
+
 def spd_factor(s_mat, fingerprint: float = float("nan")) -> SpdFactor:
     """Cholesky-factor a symmetric positive definite matrix.
 
@@ -173,11 +186,12 @@ def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
     return x
 
 
-def eig_pairs(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a dense real square matrix.
+def _dense_eig(routine, mat):
+    """Run a numpy eigenroutine on a dense real square matrix.
 
-    Returns the complex eigenvalue vector and the matrix whose columns are
-    the matching (unit-norm) eigenvectors.
+    Checks what both entry points promise: a square, finite matrix no larger
+    than ``EIG_MAX_DIM``, and a failed QR iteration reported as
+    :class:`EigenConvergenceError`.
     """
     a = _square(mat)
     if a.shape[0] > EIG_MAX_DIM:
@@ -185,16 +199,28 @@ def eig_pairs(mat) -> tuple[np.ndarray, np.ndarray]:
             f"matrix dimension {a.shape[0]} exceeds the supported {EIG_MAX_DIM}"
         )
     try:
-        vals, vecs = np.linalg.eig(a)
+        return routine(a)
     except np.linalg.LinAlgError as exc:
         raise EigenConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+
+
+def eig_pairs(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a dense real square matrix.
+
+    Returns the complex eigenvalue vector and the matrix whose columns are
+    the matching (unit-norm) eigenvectors.
+    """
+    vals, vecs = _dense_eig(np.linalg.eig, mat)
     return vals.astype(complex), vecs.astype(complex)
 
 
 def eig_all(mat) -> np.ndarray:
-    """All eigenvalues of a dense real square matrix, as a complex vector."""
-    vals, _ = eig_pairs(mat)
-    return vals
+    """All eigenvalues of a dense real square matrix, as a complex vector.
+
+    Computes no eigenvectors (``np.linalg.eigvals``, LAPACK ``dgeev`` without
+    vectors), at about half the cost of :func:`eig_pairs`.
+    """
+    return _dense_eig(np.linalg.eigvals, mat).astype(complex)
 
 
 def scaled_norm(*vecs) -> float:
@@ -295,6 +321,7 @@ class LinearMap:
 
     def schur_solve(self, factor: SpdFactor, rhs) -> np.ndarray:
         """Solve with the Schur complement, given its :meth:`schur_factor`."""
+        _check_factor_kind(self, factor, SpdFactor)
         return spd_solve(factor, rhs)
 
 
@@ -370,6 +397,7 @@ class DifferenceMap(LinearMap):
 
         Like :func:`spd_solve`, scans nothing for finiteness.
         """
+        _check_factor_kind(self, factor, BandedFactor)
         b = np.asarray(rhs, dtype=float)
         if b.shape != (factor.dim,):
             raise ValueError(

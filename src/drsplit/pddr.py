@@ -150,6 +150,9 @@ def block_resolvent(r1, r2, t: float, s: float, coupling: LinearMap,
     coupling builds and applies it (``schur_factor``, ``schur_solve``).
     Returns ``(u, v, factor)`` where the factor can be fed back in as
     ``cache``; it is reused as long as t*s is unchanged to relative 1e-12.
+    A cached factor made for another kind of operator (dense Cholesky for a
+    :class:`~drsplit.linalg.DifferenceMap`, banded for a dense map) raises
+    ``ValueError``.
     """
     if t <= 0 or s <= 0:
         raise ValueError(f"stepsizes must be positive, got t={t}, s={s}")

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 
 from . import linalg
 
 __all__ = [
+    "IdentityCheckError",
     "LinearMonotonePair",
     "RadiusScan",
     "ScanRow",
@@ -39,6 +41,10 @@ __all__ = [
 FIXED_POINT_TOL = 1e-8
 # Slack granted to the disc checks to absorb eigensolver roundoff.
 DISC_SLACK = 1e-8
+
+
+class IdentityCheckError(RuntimeError):
+    """The two forms of the iteration matrix disagree, or their gap is NaN."""
 
 
 class UnboundedStepsizeError(ValueError):
@@ -104,9 +110,33 @@ def _delta_vector(delta, dim: int) -> np.ndarray:
         d = np.diag(d)
     if d.shape != (dim,):
         raise ValueError(f"preconditioner shape {d.shape} does not match {dim}")
-    if np.any(d <= 0):
-        raise ValueError("preconditioner diagonal must be positive")
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError("preconditioner diagonal must be finite and positive")
     return d
+
+
+def _operator_pair(a_mat, b_mat) -> tuple[np.ndarray, np.ndarray]:
+    """Check two operators for matching square shapes and finite entries."""
+    a = np.asarray(a_mat, dtype=float)
+    b = np.asarray(b_mat, dtype=float)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError(
+            f"operator shapes {a.shape}, {b.shape} must match, be square and nonempty")
+    for name, arr in (("a_mat", a), ("b_mat", b)):
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} has non-finite entries")
+    return a, b
+
+
+def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve lhs @ x = rhs with LAPACK ``dgesv``, as ``np.linalg.solve`` does,
+    without its wrapper; an exactly singular lhs raises ``LinAlgError``."""
+    _, _, x, info = dgesv(lhs, rhs)
+    if info > 0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LU solve call")
+    return x
 
 
 def iteration_matrix(a_mat, b_mat, delta) -> np.ndarray:
@@ -114,23 +144,33 @@ def iteration_matrix(a_mat, b_mat, delta) -> np.ndarray:
 
     With resolvents J_A = (I + DA)^{-1} and J_B = (I + DB)^{-1} this is
     J_A (DA + J_B (I - DA)); the equivalent closed form
-    (I + DA + DB + DB DA)^{-1} (I + DB DA) is evaluated as a consistency
-    check and a disagreement beyond 1e-10 raises.
+    (I + DA + DB + DB DA)^{-1} (I + DB DA) is solved for independently as a
+    consistency check and a disagreement beyond 1e-10 raises.
+
+    Raises
+    ------
+    ValueError
+        If the operators are not square, of one shape and finite, or the
+        preconditioner is not finite and positive.
+    numpy.linalg.LinAlgError
+        If I + DB, I + DA or the closed form's matrix is exactly singular.
+    IdentityCheckError
+        If the two forms disagree, or the gap between them is NaN (the
+        closed form overflowed), so the matrix cannot be vouched for.
     """
-    a = np.asarray(a_mat, dtype=float)
-    b = np.asarray(b_mat, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator shapes {a.shape}, {b.shape} must match and be square")
+    a, b = _operator_pair(a_mat, b_mat)
     d = _delta_vector(delta, a.shape[0])
     da = d[:, None] * a
     db = d[:, None] * b
     eye = np.eye(a.shape[0])
-    inner = np.linalg.solve(eye + db, eye - da)
-    h = np.linalg.solve(eye + da, da + inner)
-    h_alt = np.linalg.solve(eye + da + db + db @ da, eye + db @ da)
+    eye_db = eye + db
+    dbda = db @ da
+    inner = _lu_solve(eye_db, eye - da)
+    h = _lu_solve(eye + da, da + inner)
+    h_alt = _lu_solve(eye_db + da + dbda, eye + dbda)
     gap = float(np.abs(h - h_alt).max())
-    if gap > 1e-10 * (1.0 + float(np.abs(h).max())):
-        raise RuntimeError(f"iteration-matrix identity violated: gap {gap}")
+    if not gap <= 1e-10 * (1.0 + float(np.abs(h).max())):
+        raise IdentityCheckError(f"iteration-matrix identity violated: gap {gap}")
     return h
 
 
@@ -140,10 +180,7 @@ def dr_update_matrix(a_mat, b_mat, delta) -> np.ndarray:
     Similar to :func:`iteration_matrix` via conjugation with I + DA, hence
     the same spectrum.
     """
-    a = np.asarray(a_mat, dtype=float)
-    b = np.asarray(b_mat, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"operator shapes {a.shape}, {b.shape} must match and be square")
+    a, b = _operator_pair(a_mat, b_mat)
     d = _delta_vector(delta, a.shape[0])
     eye = np.eye(a.shape[0])
     res_a = np.linalg.solve(eye + d[:, None] * a, eye)
@@ -226,7 +263,11 @@ def disc_report(pair: LinearMonotonePair, delta) -> SpectralReport:
 
 
 def spectral_radius(mat) -> float:
-    """Largest eigenvalue modulus of a dense square matrix."""
+    """Largest eigenvalue modulus of a dense square matrix.
+
+    Computes eigenvalues only (:func:`drsplit.linalg.eig_all`); of the
+    spectral tools, only :func:`disc_report` computes eigenvectors.
+    """
     return float(np.max(np.abs(linalg.eig_all(mat))))
 
 
@@ -269,7 +310,9 @@ def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
     """Spectral radius of the iteration matrix over a stepsize grid.
 
     Rows are ordered t-major then s; ``best`` is the row minimizing the
-    radius (ties broken by (t, s) so the result is deterministic).
+    radius (ties broken by (t, s) so the result is deterministic).  Each
+    pair costs one :func:`iteration_matrix` and one :func:`spectral_radius`,
+    which computes eigenvalues only.
     """
     t_vals = np.asarray(t_grid, dtype=float)
     s_vals = np.asarray(s_grid, dtype=float)

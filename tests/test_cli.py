@@ -86,6 +86,34 @@ class TestSpectrum:
         assert "best radius" in stdout
         assert "<ellipse" in svg.read_text()
 
+    def test_infinite_grid_is_usage_error(self, tmp_path, capsys):
+        code, _, stderr = run(
+            ["spectrum", "--half-dim", "3", "--grid", "3", "--grid-max", "inf",
+             "--out", str(tmp_path / "scan.csv")], capsys)
+        assert code == 2
+        assert "invalid configuration" in stderr
+
+    def test_unverifiable_iteration_matrix_exit_1(self, tmp_path, capsys):
+        # At steps near 1e200 the closed form overflows, so the identity
+        # check cannot vouch for the matrix: a numerical abort, not a traceback.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, _, stderr = run(
+                ["spectrum", "--half-dim", "3", "--grid", "3", "--grid-max", "1e200",
+                 "--out", str(tmp_path / "scan.csv")], capsys)
+        assert code == 1
+        assert "numerical abort: iteration-matrix identity violated" in stderr
+
+    def test_eigen_failure_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        code, _, stderr = run(
+            ["spectrum", "--half-dim", "3", "--grid", "2",
+             "--out", str(tmp_path / "scan.csv")], capsys)
+        assert code == 1
+        assert "numerical abort: eigenvalue iteration failed" in stderr
+
 
 class TestCompare:
     def test_one_csv_per_policy(self, tmp_path, capsys):

@@ -210,6 +210,12 @@ class TestGrids:
         with pytest.raises(ValueError):
             log_grid(1.0, 2.0, 0)
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, np.inf), (np.inf, np.inf), (np.nan, 1.0),
+                                        (1.0, np.nan)])
+    def test_log_grid_rejects_nonfinite(self, lo, hi):
+        with pytest.raises(ValueError, match="lo <= hi < inf"):
+            log_grid(lo, hi, 3)
+
 
 class TestComparison:
     def test_one_trace_per_policy(self):

@@ -4,6 +4,7 @@ from scipy.linalg import cho_solve
 
 from drsplit.linalg import (
     DifferenceMap,
+    EigenConvergenceError,
     LinearMap,
     NotPositiveDefiniteError,
     NotPsdError,
@@ -14,6 +15,7 @@ from drsplit.linalg import (
     spd_factor,
     spd_solve,
 )
+from drsplit.spectral import match_spectra
 
 
 def random_spd(rng, dim, shift=1.0):
@@ -156,6 +158,28 @@ class TestEig:
         mat[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             eig_all(mat)
+
+    @pytest.mark.parametrize("dim", [30, 50])
+    def test_values_only_match_eig_pairs(self, dim):
+        rng = np.random.default_rng(dim)
+        mat = rng.standard_normal((dim, dim))
+        scale = np.linalg.norm(mat, 2)
+        assert match_spectra(eig_all(mat), eig_pairs(mat)[0]) <= 1e-10 * scale
+
+    def test_eig_pairs_shares_the_guards(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            eig_pairs(np.eye(501))
+        with pytest.raises(ValueError, match="non-finite"):
+            eig_pairs(np.diag([1.0, np.inf]))
+
+    @pytest.mark.parametrize("func, routine", [(eig_all, "eigvals"), (eig_pairs, "eig")])
+    def test_convergence_failure_is_typed(self, monkeypatch, func, routine):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, routine, fail)
+        with pytest.raises(EigenConvergenceError, match="did not converge"):
+            func(np.eye(3))
 
 
 class TestSeminorm:

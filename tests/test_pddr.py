@@ -150,6 +150,19 @@ class TestBlockResolvent:
         with pytest.raises(ValueError):
             block_resolvent(np.ones(2), np.ones(2), 1.0, -2.0, op)
 
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_cached_factor_of_wrong_kind_rejected(self, structured):
+        # A factor of the other operator kind with the right dim and
+        # fingerprint passes the cache check; the solve must name the mismatch.
+        diff = DifferenceMap(6)
+        dense = LinearMap(diff.mat)
+        op, other = (diff, dense) if structured else (dense, diff)
+        wrong = other.schur_factor(2.0)
+        want = ("DifferenceMap solves with a BandedFactor, got a SpdFactor" if structured
+                else "LinearMap solves with a SpdFactor, got a BandedFactor")
+        with pytest.raises(ValueError, match=want):
+            block_resolvent(np.ones(6), np.ones(5), 1.0, 2.0, op, cache=wrong)
+
 
 class TestSweep:
     def test_quadratic_reaches_normal_equations(self):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from drsplit.experiments import gen_monotone_pair
+from drsplit import linalg, spectral
+from drsplit.experiments import gen_monotone_pair, log_grid
 from drsplit.spectral import (
+    IdentityCheckError,
     LinearMonotonePair,
     UnboundedStepsizeError,
     disc_report,
@@ -64,6 +66,56 @@ class TestIterationMatrix:
                              np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError):
             iteration_matrix(np.eye(2), np.eye(3), np.ones(2))
+
+    @pytest.mark.parametrize("build", [iteration_matrix, dr_update_matrix])
+    @pytest.mark.parametrize("which", ["a_mat", "b_mat"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_operator_rejected(self, build, which, bad):
+        # A single bad entry would otherwise spread to an all-NaN matrix
+        # that slips past the identity check.
+        pair = gen_monotone_pair(1, half_dim=3)
+        ops = {"a_mat": pair.block_diag_half(), "b_mat": pair.skew_half()}
+        ops[which][2, 4] = bad
+        with pytest.raises(ValueError, match=f"{which} has non-finite entries"):
+            build(ops["a_mat"], ops["b_mat"], np.ones(6))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_preconditioner_rejected(self, bad):
+        # A non-finite step would otherwise reach the identity check as a
+        # NaN gap and raise IdentityCheckError instead of a usage error.
+        for build in (iteration_matrix, dr_update_matrix):
+            with pytest.raises(ValueError, match="finite and positive"):
+                build(np.eye(2), np.zeros((2, 2)), [1.0, bad])
+
+    def test_empty_operators_rejected(self):
+        for build in (iteration_matrix, dr_update_matrix):
+            with pytest.raises(ValueError, match="nonempty"):
+                build(np.zeros((0, 0)), np.zeros((0, 0)), np.ones(0))
+
+    def test_overflowing_identity_check_raises(self):
+        # Finite operators whose product DB DA overflows leave the gap NaN;
+        # an unverified matrix must not be returned.
+        big = 1e200
+        b = np.zeros((3, 3))
+        b[0, 1], b[1, 0] = big, -big
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IdentityCheckError, match="gap nan"):
+                iteration_matrix(big * np.eye(3), b, np.ones(3))
+
+    def test_singular_resolvent_raises(self):
+        # a = -I at delta = 1 makes I + DA the zero matrix.
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            iteration_matrix(-np.eye(3), np.zeros((3, 3)), np.ones(3))
+
+    def test_eigenvalues_only_match_eig_pairs(self):
+        rng = np.random.default_rng(62)
+        for seed in range(3):
+            pair = gen_monotone_pair(seed, 25)
+            d = 10.0 ** rng.uniform(-2, 2, size=50)
+            h = iteration_matrix(pair.block_diag_half(), pair.skew_half(), d)
+            scale = np.linalg.norm(h, 2)
+            gap = match_spectra(linalg.eig_all(h), linalg.eig_pairs(h)[0])
+            assert gap <= 1e-10 * scale
 
 
 class TestMonotonicityRatio:
@@ -227,6 +279,61 @@ class TestRadiusScan:
             radius_scan(pair, [], [1.0])
         with pytest.raises(ValueError):
             radius_scan(pair, [1.0], [-1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_grid_rejected(self, bad):
+        # Caught where the grid pair becomes a preconditioner.
+        pair = gen_monotone_pair(6, half_dim=3)
+        with pytest.raises(ValueError, match="finite and positive"):
+            radius_scan(pair, [1.0, bad], [1.0])
+        with pytest.raises(ValueError, match="finite and positive"):
+            radius_scan(pair, [1.0], [bad])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scan_computes_no_eigenvectors(self, seed, monkeypatch):
+        pair = gen_monotone_pair(seed, half_dim=25)
+        grid = log_grid(1e-3, 1e3, 8)
+        want = [(t, s, reference_radius(pair, t, s)) for t in grid for s in grid]
+        want_best = min(want, key=lambda r: (r[2], r[0], r[1]))
+
+        calls = {"iteration_matrix": 0, "spectral_radius": 0}
+
+        def counted(name):
+            real = getattr(spectral, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        def no_vectors(*args, **kwargs):
+            raise AssertionError("eigenvectors computed on the scan path")
+
+        # The benchmark laps and traces the scan through these two module
+        # attributes, one call each per grid pair.
+        for name in calls:
+            monkeypatch.setattr(spectral, name, counted(name))
+        monkeypatch.setattr(np.linalg, "eig", no_vectors)
+        scan = radius_scan(pair, grid, grid)
+
+        assert calls == {"iteration_matrix": 64, "spectral_radius": 64}
+        assert [(r.t, r.s) for r in scan.rows] == [(t, s) for t, s, _ in want]
+        for row, (_, _, rho) in zip(scan.rows, want):
+            assert row.rho == pytest.approx(rho, rel=1e-12, abs=0.0)
+        assert (scan.best.t, scan.best.s) == want_best[:2]
+
+
+def reference_radius(pair, t, s):
+    """Plain restatement of a scan row: two dense solves, then the largest
+    modulus from a full eigendecomposition."""
+    a, b = pair.block_diag_half(), pair.skew_half()
+    d = np.concatenate([np.full(pair.primal_dim, t), np.full(pair.dual_dim, s)])
+    da = d[:, None] * a
+    db = d[:, None] * b
+    eye = np.eye(d.size)
+    inner = np.linalg.solve(eye + db, eye - da)
+    h = np.linalg.solve(eye + da, da + inner)
+    return float(np.max(np.abs(np.linalg.eig(h)[0])))
 
 
 class TestHelpers:
