@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import scaled_norm
+from .linalg import check_steps, scaled_norm
 
 __all__ = [
     "AdaptiveConfig",
@@ -111,9 +111,13 @@ def adaptive_update(t: float, s: float, x, p, y, q, k: int,
     (float, float)
         Updated stepsizes, each in (0, cap].  A side whose prox output and
         displacement both vanish is returned unchanged.
+
+    Raises
+    ------
+    ValueError
+        Naming t and s, unless t, s and t*s are finite and positive.
     """
-    if t <= 0 or s <= 0:
-        raise ValueError(f"stepsizes must be positive, got t={t}, s={s}")
+    check_steps(t, s)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     t_next = _one_side(t, x, p, config.relax_t(k), config.lo_t, config.hi_t, config.cap)

@@ -7,10 +7,13 @@ matrix, so it scales to millions of samples.  The routines here wrap LAPACK
 through numpy/scipy and add the dimension, symmetry, and definiteness checks
 the callers rely on.
 
-A coupling operator owns the solve with its Schur complement
-``I + ts*KK'`` or ``I + ts*K'K`` (:meth:`LinearMap.schur_factor` and
-:meth:`LinearMap.schur_solve`): a dense Cholesky factor for a general K, a
-banded one, O(n), for forward differences.
+A coupling operator (any :class:`Coupling`) owns the solve with its Schur
+complement ``I + ts*KK'`` or ``I + ts*K'K``: its ``schur(ts)`` returns the
+factored complement for exactly that ``ts`` (a :class:`Schur`), a dense
+Cholesky factor for a general K, a banded one, O(n), for forward
+differences.  The coupling keeps the last one and refactors whenever ``ts``
+changes in any bit, so a solve depends only on K and ``ts``, never on which
+products were factored before.
 
 Eigenvectors are computed only where they are used, by :func:`eig_pairs`
 (the spectral disc report); spectral radii and stepsize scans call
@@ -27,19 +30,21 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 
 __all__ = [
-    "BandedFactor",
+    "Coupling",
     "DifferenceMap",
     "EigenConvergenceError",
     "LinearMap",
     "NotPositiveDefiniteError",
     "NotPsdError",
+    "Schur",
     "SpdFactor",
+    "check_steps",
     "eig_all",
     "eig_pairs",
     "scaled_norm",
@@ -85,54 +90,40 @@ def _square(mat, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpdFactor:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
-
-    ``fingerprint`` tags the scalar parameter the factored matrix was built
-    from (the solver uses the stepsize product t*s), so a caller holding a
-    cached factor can tell whether it is still valid.
-    """
+    """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""
 
     dim: int
     lower: np.ndarray
-    fingerprint: float = float("nan")
 
 
 @dataclass(frozen=True, eq=False)
-class BandedFactor:
-    """Cholesky factor of a symmetric positive definite band matrix.
+class Schur:
+    """A factored Schur complement ``I + ts*KK'`` or ``I + ts*K'K``, as a
+    coupling's ``schur(ts)`` returns it: ``ts`` is the product it was built
+    for, and ``solve(rhs)`` applies its inverse."""
 
-    ``bands`` holds the factor in LAPACK lower band storage: row 0 is the
-    diagonal, row j the j-th subdiagonal, left-aligned.  ``fingerprint``
-    has the meaning it has on :class:`SpdFactor`.
+    ts: float
+    solve: Callable[[np.ndarray], np.ndarray]
+
+
+def check_steps(t: float, s: float, what: str = "stepsizes") -> None:
+    """Reject stepsizes that do not define a Schur complement.
+
+    t, s and their product t*s must be finite and positive; anything else
+    raises ``ValueError`` naming ``what``, t and s.
     """
-
-    dim: int
-    bands: np.ndarray
-    fingerprint: float = float("nan")
-
-
-# What LinearMap.schur_factor returns, by operator type.
-SchurFactor = SpdFactor | BandedFactor
+    if not (0.0 < t < math.inf and 0.0 < s < math.inf and t * s < math.inf):
+        raise ValueError(f"{what} must be finite and positive, with a finite "
+                         f"product t*s, got t={t}, s={s}")
 
 
-def _check_factor_kind(op, factor, kind: type) -> None:
-    """Reject a Schur factor made for another kind of operator."""
-    if not isinstance(factor, kind):
-        raise ValueError(
-            f"{type(op).__name__} solves with a {kind.__name__}, "
-            f"got a {type(factor).__name__}"
-        )
-
-
-def spd_factor(s_mat, fingerprint: float = float("nan")) -> SpdFactor:
+def spd_factor(s_mat) -> SpdFactor:
     """Cholesky-factor a symmetric positive definite matrix.
 
     Parameters
     ----------
     s_mat : (d, d) array_like
         Symmetric (to relative 1e-10) positive definite matrix.
-    fingerprint : float, optional
-        Scalar recorded on the factor for cache-validity checks.
 
     Returns
     -------
@@ -156,7 +147,7 @@ def spd_factor(s_mat, fingerprint: float = float("nan")) -> SpdFactor:
         raise NotPositiveDefiniteError(info - 1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of Cholesky call")
-    return SpdFactor(dim=s.shape[0], lower=c, fingerprint=float(fingerprint))
+    return SpdFactor(dim=s.shape[0], lower=c)
 
 
 def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
@@ -263,6 +254,31 @@ def seminorm(u, mat) -> float:
     return math.sqrt(max(quad, 0.0))
 
 
+class Coupling(Protocol):
+    """What the solver needs of a coupling operator K, ``rows x cols``.
+
+    ``schur(ts)`` returns the factored Schur complement on the smaller side,
+    for exactly that ``ts``: ``I + ts*KK'`` when rows < cols, ``I + ts*K'K``
+    otherwise.  :func:`drsplit.pddr.block_resolvent` forms the right-hand
+    side to match.  A declaration only: the couplings below share no base.
+    """
+
+    @property
+    def shape(self) -> tuple[int, int]: ...
+
+    @property
+    def rows(self) -> int: ...
+
+    @property
+    def cols(self) -> int: ...
+
+    def matvec(self, x) -> np.ndarray: ...
+
+    def rmatvec(self, y) -> np.ndarray: ...
+
+    def schur(self, ts: float) -> Schur: ...
+
+
 class LinearMap:
     """Dense linear operator with forward and adjoint application."""
 
@@ -273,6 +289,7 @@ class LinearMap:
         if not np.all(np.isfinite(arr)):
             raise ValueError("operator matrix has non-finite entries")
         self.mat = arr
+        self._schur: Schur | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -310,29 +327,25 @@ class LinearMap:
         """K @ K.T, cached."""
         return self.mat @ self.mat.T
 
-    # The Schur complement acts on the smaller side: the dual one when
-    # rows < cols, the primal one otherwise.  pddr.block_resolvent forms the
-    # right-hand side to match.
-    def schur_factor(self, ts: float) -> SpdFactor:
-        """Factor of ``I + ts*KK'`` (rows < cols) or ``I + ts*K'K`` (otherwise),
-        tagged with ``ts`` as its fingerprint."""
-        gram = self.gram_rows if self.rows < self.cols else self.gram_cols
-        return spd_factor(np.eye(gram.shape[0]) + ts * gram, fingerprint=ts)
-
-    def schur_solve(self, factor: SpdFactor, rhs) -> np.ndarray:
-        """Solve with the Schur complement, given its :meth:`schur_factor`."""
-        _check_factor_kind(self, factor, SpdFactor)
-        return spd_solve(factor, rhs)
+    def schur(self, ts: float) -> Schur:
+        """Dense Cholesky factor of ``I + ts*KK'`` (rows < cols) or
+        ``I + ts*K'K`` (otherwise); the last one is kept while ``ts`` is
+        bitwise the same."""
+        if self._schur is None or self._schur.ts != ts:
+            gram = self.gram_rows if self.rows < self.cols else self.gram_cols
+            factor = spd_factor(np.eye(gram.shape[0]) + ts * gram)
+            self._schur = Schur(ts, lambda rhs: spd_solve(factor, rhs))
+        return self._schur
 
 
-class DifferenceMap(LinearMap):
+class DifferenceMap:
     """Forward differences ``(Dx)_i = x_{i+1} - x_i`` as an (n-1) x n operator.
 
     Products work by slicing, in O(n); for finite input they equal the dense
     products bit for bit.  ``DD'`` is tridiagonal (2 on the diagonal, -1
     beside it), so the Schur complement ``I + ts*DD'`` is factored and solved
     by banded Cholesky, also in O(n).  The dense matrix is built only when
-    ``mat`` (or a Gram matrix) is read.
+    ``mat`` is read.
     """
 
     def __init__(self, n: int):
@@ -340,6 +353,7 @@ class DifferenceMap(LinearMap):
         if n < 2:
             raise ValueError(f"need at least 2 samples, got {n}")
         self.n = n
+        self._schur: Schur | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -378,32 +392,35 @@ class DifferenceMap(LinearMap):
         out[-1] = v[-1]
         return out
 
-    def schur_factor(self, ts: float) -> BandedFactor:
-        """Banded Cholesky factor of ``I + ts*DD'``, tagged with ``ts``."""
-        if not math.isfinite(ts):
-            raise ValueError(f"Schur complement has non-finite entries (ts={ts})")
-        bands = np.empty((2, self.n - 1))
-        bands[0] = 1.0 + 2.0 * ts
-        bands[1] = -ts
-        c, info = dpbtrf(bands, lower=1, overwrite_ab=1)
-        if info > 0:
-            raise NotPositiveDefiniteError(info - 1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of banded Cholesky call")
-        return BandedFactor(dim=self.n - 1, bands=c, fingerprint=float(ts))
+    def schur(self, ts: float) -> Schur:
+        """Banded Cholesky factor of ``I + ts*DD'``; the last one is kept
+        while ``ts`` is bitwise the same."""
+        if self._schur is None or self._schur.ts != ts:
+            if not math.isfinite(ts):
+                raise ValueError(f"Schur complement has non-finite entries (ts={ts})")
+            bands = np.empty((2, self.n - 1))
+            bands[0] = 1.0 + 2.0 * ts
+            bands[1] = -ts
+            c, info = dpbtrf(bands, lower=1, overwrite_ab=1)
+            if info > 0:
+                raise NotPositiveDefiniteError(info - 1)
+            if info < 0:
+                raise ValueError(
+                    f"illegal value in argument {-info} of banded Cholesky call")
+            self._schur = Schur(ts, lambda rhs: _banded_solve(c, rhs))
+        return self._schur
 
-    def schur_solve(self, factor: BandedFactor, rhs) -> np.ndarray:
-        """Solve with ``I + ts*DD'`` given its :meth:`schur_factor`.
 
-        Like :func:`spd_solve`, scans nothing for finiteness.
-        """
-        _check_factor_kind(self, factor, BandedFactor)
-        b = np.asarray(rhs, dtype=float)
-        if b.shape != (factor.dim,):
-            raise ValueError(
-                f"dimension mismatch: factor is {factor.dim}, rhs has shape {b.shape}"
-            )
-        x, info = dpbtrs(factor.bands, b, lower=1)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of banded solve call")
-        return x
+def _banded_solve(bands: np.ndarray, rhs) -> np.ndarray:
+    """Solve with a banded Cholesky factor in LAPACK lower band storage.
+
+    Like :func:`spd_solve`, scans nothing for finiteness.
+    """
+    b = np.asarray(rhs, dtype=float)
+    if b.shape != (bands.shape[1],):
+        raise ValueError(
+            f"dimension mismatch: factor is {bands.shape[1]}, rhs has shape {b.shape}")
+    x, info = dpbtrs(bands, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of banded solve call")
+    return x

@@ -10,11 +10,13 @@ The solver alternates two proxes with a coupled linear correction step.  For
     q <- q + v - y
 
 and the candidate solution is the shadow pair (x, y).  The linear solve goes
-through the Schur complement, factored and solved by the coupling operator
-itself (:meth:`~drsplit.linalg.LinearMap.schur_factor` and
-:meth:`~drsplit.linalg.LinearMap.schur_solve`): a dense Cholesky factor for
-a general K, a banded one, O(n), for forward differences.  The factor is
-cached on the product t * s so constant-stepsize runs factor exactly once.
+through the Schur complement, and the coupling operator alone owns it: its
+``schur(t*s)`` (see :class:`~drsplit.linalg.Coupling`) returns a dense
+Cholesky factor for a general K, a banded one, O(n), for forward
+differences.  The coupling keeps its last factor and refactors whenever t*s
+changes in any bit, so a constant-stepsize run factors exactly once and a
+sweep's output depends only on (p, q, t, s, K).  Nothing here holds factor
+state.
 
 Divergence is detected in one place, :func:`solve`, once per sweep and on
 scalars: the step residual and the objective.  The sweep itself scans no
@@ -22,8 +24,8 @@ array for finiteness.  A non-finite prox output passes through the linear
 solve into the new shadow points, so the step residual of that same sweep
 is non-finite and ``solve`` raises :class:`IterationDiverged` with the
 sweep's index and the state it started from.  Stepsizes are checked where
-they enter: the starting values and every value a policy returns must be
-finite and positive.
+they enter, by one rule (:func:`~drsplit.linalg.check_steps`): t, s and t*s
+must be finite and positive.
 """
 
 import math
@@ -33,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import LinearMap, SchurFactor
+from .linalg import Coupling, check_steps
 from .operators import ProxMap
 from .ppa_core import IterationDiverged, PreconditionedResolvent
 
@@ -53,9 +55,6 @@ __all__ = [
     "stacked_prox_resolvent",
 ]
 
-# A cached factor is reused while t*s stays within this relative tolerance.
-CACHE_RTOL = 1e-12
-
 
 @dataclass(frozen=True, eq=False)
 class PdProblem:
@@ -68,7 +67,7 @@ class PdProblem:
 
     f_prox: ProxMap
     gstar_prox: ProxMap
-    coupling: LinearMap
+    coupling: Coupling
     objective: Callable[[np.ndarray], float]
 
     @property
@@ -82,14 +81,13 @@ class PdProblem:
 
 @dataclass
 class DRState:
-    """Mutable iteration state: shadow points, stepsizes, step count, cache."""
+    """Mutable iteration state: shadow points, stepsizes, step count."""
 
     p: np.ndarray
     q: np.ndarray
     t: float
     s: float
     k: int = 0
-    factor_cache: SchurFactor | None = None
 
 
 class StepOutput(NamedTuple):
@@ -117,7 +115,7 @@ class SolveTrace:
 
 def initial_state(prob: PdProblem, t0: float, s0: float, p0=None, q0=None) -> DRState:
     """Fresh solver state; shadow points default to zero."""
-    _check_steps(t0, s0, "starting stepsizes")
+    check_steps(t0, s0, "starting stepsizes")
     p = np.zeros(prob.primal_dim) if p0 is None else np.asarray(p0, dtype=float).copy()
     q = np.zeros(prob.dual_dim) if q0 is None else np.asarray(q0, dtype=float).copy()
     if p.shape != (prob.primal_dim,) or q.shape != (prob.dual_dim,):
@@ -128,34 +126,19 @@ def initial_state(prob: PdProblem, t0: float, s0: float, p0=None, q0=None) -> DR
     return DRState(p=p, q=q, t=float(t0), s=float(s0))
 
 
-def _check_steps(t: float, s: float, what: str) -> None:
-    if not (0.0 < t < math.inf and 0.0 < s < math.inf):
-        raise ValueError(f"{what} must be finite and positive, got t={t}, s={s}")
-
-
-def _cache_valid(cache: SchurFactor | None, ts: float, dim: int) -> bool:
-    return (
-        cache is not None
-        and cache.dim == dim
-        and abs(cache.fingerprint - ts) <= CACHE_RTOL * abs(ts)
-    )
-
-
-def block_resolvent(r1, r2, t: float, s: float, coupling: LinearMap,
-                    cache: SchurFactor | None = None):
+def block_resolvent(r1, r2, t: float, s: float, coupling: Coupling):
     """Solve u + t K'v = r1, -s K u + v = r2 by Schur complement.
 
     The factorization acts on whichever side is smaller: I + t*s*K'K when the
-    primal dimension is smaller or equal, I + t*s*KK' otherwise; the
-    coupling builds and applies it (``schur_factor``, ``schur_solve``).
-    Returns ``(u, v, factor)`` where the factor can be fed back in as
-    ``cache``; it is reused as long as t*s is unchanged to relative 1e-12.
-    A cached factor made for another kind of operator (dense Cholesky for a
-    :class:`~drsplit.linalg.DifferenceMap`, banded for a dense map) raises
-    ``ValueError``.
+    primal dimension is smaller or equal, I + t*s*KK' otherwise.  The
+    coupling builds and applies it, for exactly this t*s (``coupling.schur``),
+    so the result depends only on r1, r2, t, s and K.  Returns
+    ``(u, v, schur)``, ``schur`` being the factored complement used.
+
+    Raises ``ValueError`` naming t and s unless t, s and t*s are finite and
+    positive.
     """
-    if t <= 0 or s <= 0:
-        raise ValueError(f"stepsizes must be positive, got t={t}, s={s}")
+    check_steps(t, s)
     a = np.asarray(r1, dtype=float)
     b = np.asarray(r2, dtype=float)
     rows, cols = coupling.shape
@@ -163,17 +146,14 @@ def block_resolvent(r1, r2, t: float, s: float, coupling: LinearMap,
         raise ValueError(
             f"dimension mismatch: rhs shapes {a.shape}, {b.shape} vs operator {coupling.shape}"
         )
-    ts = t * s
-    dual_side = rows < cols
-    if not _cache_valid(cache, ts, rows if dual_side else cols):
-        cache = coupling.schur_factor(ts)
-    if dual_side:
-        v = coupling.schur_solve(cache, b + s * coupling.matvec(a))
+    schur = coupling.schur(t * s)
+    if rows < cols:
+        v = schur.solve(b + s * coupling.matvec(a))
         u = a - t * coupling.rmatvec(v)
     else:
-        u = coupling.schur_solve(cache, a - t * coupling.rmatvec(b))
+        u = schur.solve(a - t * coupling.rmatvec(b))
         v = b + s * coupling.matvec(u)
-    return u, v, cache
+    return u, v, schur
 
 
 def pd_dr_step(state: DRState, prob: PdProblem) -> tuple[DRState, StepOutput]:
@@ -191,9 +171,7 @@ def pd_dr_step(state: DRState, prob: PdProblem) -> tuple[DRState, StepOutput]:
     p, q, t, s = state.p, state.q, state.t, state.s
     x = prob.f_prox(p, t)
     y = prob.gstar_prox(q, s)
-    u, v, state.factor_cache = block_resolvent(
-        2.0 * x - p, 2.0 * y - q, t, s, prob.coupling, state.factor_cache,
-    )
+    u, v, _ = block_resolvent(2.0 * x - p, 2.0 * y - q, t, s, prob.coupling)
     state.p = p + u - x
     state.q = q + v - y
     state.k += 1
@@ -238,13 +216,12 @@ def stacked_prox_resolvent(prob: PdProblem):
 
 
 def coupling_block_resolvent(prob: PdProblem):
-    """Resolvent of the skew coupling block, with its own factor cache."""
+    """Resolvent of the skew coupling block."""
     n = prob.primal_dim
-    cache: list[SchurFactor | None] = [None]
 
     def apply(w, dd):
         t, s = _block_steps(np.asarray(dd, dtype=float), n)
-        u, v, cache[0] = block_resolvent(w[:n], w[n:], t, s, prob.coupling, cache[0])
+        u, v, _ = block_resolvent(w[:n], w[n:], t, s, prob.coupling)
         return np.concatenate([u, v])
 
     return apply
@@ -269,8 +246,7 @@ def dr_as_proximal_point(prob: PdProblem,
 
     def _diag(k: int) -> np.ndarray:
         t, s = stepsizes(k)
-        if t <= 0 or s <= 0:
-            raise ValueError(f"stepsizes must be positive, got t={t}, s={s}")
+        check_steps(t, s, f"stepsizes at step {k}")
         return np.concatenate([np.full(n, float(t)), np.full(m, float(s))])
 
     def apply(u, k):
@@ -326,19 +302,20 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
     ValueError
         If ``max_iter`` is below 1, ``tol`` is not finite and nonnegative,
         or ``t0``, ``s0``, the policy's initial stepsizes or any stepsizes
-        its ``update`` returns are not finite and positive.
+        its ``update`` returns are not finite and positive with a finite
+        product t*s.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    _check_steps(t0, s0, "starting stepsizes")
+    check_steps(t0, s0, "starting stepsizes")
     state = initial_state(prob, *policy.initial(t0, s0), p0=p0, q0=q0)
     t, s = state.t, state.s
     rows: list[TraceRow] = []
     out = None
     for k in range(max_iter):
-        p, q, cache = state.p, state.q, state.factor_cache
+        p, q = state.p, state.q
         # The squares overflow for finite points above about 1e154; only then
         # is the norm recomputed, scaled.
         prev_norm = math.sqrt(p.dot(p) + q.dot(q))
@@ -357,14 +334,12 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
         # the objective is tested too so that no trace row is non-finite.
         if not (math.isfinite(residual) and math.isfinite(objective)):
             raise IterationDiverged(
-                k, state=DRState(p=p, q=q, t=t, s=s, k=k, factor_cache=cache))
+                k, state=DRState(p=p, q=q, t=t, s=s, k=k))
         rows.append(TraceRow(k, objective, t, s, residual))
         t, s = policy.update(t, s, out.x, p, out.y, q, k)
         # This check keeps a stepsize that would poison the factorization
         # out of the next sweep.
-        if not (0.0 < t < math.inf and 0.0 < s < math.inf):
-            raise ValueError(f"policy returned stepsizes t={t}, s={s} at step {k}; "
-                             "they must be finite and positive")
+        check_steps(t, s, f"the stepsizes the policy returned at step {k}")
         state.t, state.s = t, s
         if residual <= tol:
             break

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,13 @@ class TestUpdateRule:
         with pytest.raises(ValueError):
             adaptive_update(0.0, 1.0, np.ones(1), np.ones(1),
                             np.ones(1), np.ones(1), 0, AdaptiveConfig())
+
+    @pytest.mark.parametrize("t, s", [(np.nan, 1.0), (1.0, np.inf), (1e200, 1e200)])
+    def test_nonfinite_steps_rejected(self, t, s):
+        # The result must stay in (0, cap]; a NaN in would come back out.
+        with pytest.raises(ValueError, match=re.escape(f"t={t}, s={s}")):
+            adaptive_update(t, s, np.ones(1), np.full(1, 2.0),
+                            np.ones(1), np.full(1, 2.0), 0, AdaptiveConfig())
 
     def test_norms_match_numpy_bitwise(self):
         # The rule is stated with np.linalg.norm; the update must give the

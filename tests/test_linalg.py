@@ -55,10 +55,6 @@ class TestSpdFactor:
         with pytest.raises(ValueError, match="symmetric"):
             spd_factor(s)
 
-    def test_fingerprint_recorded(self):
-        fac = spd_factor(np.eye(2), fingerprint=0.25)
-        assert fac.fingerprint == 0.25
-
 
 class TestSpdSolve:
     def test_identity(self):
@@ -290,6 +286,13 @@ class TestDifferenceMap:
         assert "mat" not in d.__dict__
         assert d.mat.shape == (6, 7)
 
+    def test_not_a_dense_map(self):
+        # Nothing dense is inherited: no Gram matrix of an n x n product
+        # hides behind the structured operator.
+        d = DifferenceMap(3)
+        assert not isinstance(d, LinearMap)
+        assert not hasattr(d, "gram_rows") and not hasattr(d, "gram_cols")
+
     def test_shape_checks(self):
         d = DifferenceMap(4)
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -297,7 +300,7 @@ class TestDifferenceMap:
         with pytest.raises(ValueError, match="dimension mismatch"):
             d.rmatvec(np.ones(4))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            d.schur_solve(d.schur_factor(1.0), np.ones(4))
+            d.schur(1.0).solve(np.ones(4))
         with pytest.raises(ValueError):
             DifferenceMap(1)
         with pytest.raises(TypeError):
@@ -307,13 +310,13 @@ class TestDifferenceMap:
         rng = np.random.default_rng(43)
         d = DifferenceMap(9)
         for ts in (1e-6, 0.3, 1.0, 1e8):
-            fac = d.schur_factor(ts)
-            assert fac.fingerprint == ts and fac.dim == 8
+            fac = d.schur(ts)
+            assert fac.ts == ts
             rhs = rng.standard_normal(8)
             want = np.linalg.solve(np.eye(8) + ts * d.mat @ d.mat.T, rhs)
-            np.testing.assert_allclose(d.schur_solve(fac, rhs), want,
+            np.testing.assert_allclose(fac.solve(rhs), want,
                                        rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_schur_factor_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            DifferenceMap(5).schur_factor(np.inf)
+            DifferenceMap(5).schur(np.inf)

@@ -1,7 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from drsplit import linalg
@@ -111,32 +114,37 @@ class TestBlockResolvent:
             r1 = rng.standard_normal(n)
             r2 = rng.standard_normal(n - 1)
             u, v, fac = block_resolvent(r1, r2, t, s, op)
-            assert fac.fingerprint == t * s
+            assert fac.ts == t * s
             scale = max(1.0, np.linalg.norm(r1), np.linalg.norm(r2))
             assert np.linalg.norm(u + t * op.rmatvec(v) - r1) <= 1e-10 * scale
             assert np.linalg.norm(-s * op.matvec(u) + v - r2) <= 1e-10 * scale
 
     def test_cache_reuse_and_invalidation(self):
+        # The coupling keeps its factor for exactly one t*s: equal products
+        # share it, a product one ulp away gets its own.
         rng = np.random.default_rng(29)
         op = LinearMap(rng.standard_normal((5, 7)))
         r1 = rng.standard_normal(7)
         r2 = rng.standard_normal(5)
         _, _, fac = block_resolvent(r1, r2, 1.0, 2.0, op)
-        _, _, fac2 = block_resolvent(r1, r2, 1.0, 2.0, op, cache=fac)
+        _, _, fac2 = block_resolvent(r1, r2, 1.0, 2.0, op)
         assert fac2 is fac
-        # Same product t*s, different split: still a cache hit.
-        _, _, fac3 = block_resolvent(r1, r2, 2.0, 1.0, op, cache=fac)
+        # Same product t*s, different split: the same factor.
+        _, _, fac3 = block_resolvent(r1, r2, 2.0, 1.0, op)
         assert fac3 is fac
-        _, _, fac4 = block_resolvent(r1, r2, 1.0, 2.5, op, cache=fac)
-        assert fac4 is not fac
+        s_next = float(np.nextafter(2.0, 3.0))
+        _, _, fac4 = block_resolvent(r1, r2, 1.0, s_next, op)
+        assert fac4 is not fac and fac4.ts == s_next
+        _, _, fac5 = block_resolvent(r1, r2, 1.0, 2.5, op)
+        assert fac5 is not fac4 and fac5.ts == 2.5
 
     def test_factor_count_constant_run(self, monkeypatch):
         calls = []
         real = linalg.spd_factor
 
-        def counting(s_mat, fingerprint=np.nan):
-            calls.append(fingerprint)
-            return real(s_mat, fingerprint)
+        def counting(s_mat):
+            calls.append(s_mat)
+            return real(s_mat)
 
         monkeypatch.setattr(linalg, "spd_factor", counting)
         prob = lad_like(2)
@@ -150,18 +158,84 @@ class TestBlockResolvent:
         with pytest.raises(ValueError):
             block_resolvent(np.ones(2), np.ones(2), 1.0, -2.0, op)
 
-    @pytest.mark.parametrize("structured", [True, False])
-    def test_cached_factor_of_wrong_kind_rejected(self, structured):
-        # A factor of the other operator kind with the right dim and
-        # fingerprint passes the cache check; the solve must name the mismatch.
-        diff = DifferenceMap(6)
-        dense = LinearMap(diff.mat)
-        op, other = (diff, dense) if structured else (dense, diff)
-        wrong = other.schur_factor(2.0)
-        want = ("DifferenceMap solves with a BandedFactor, got a SpdFactor" if structured
-                else "LinearMap solves with a SpdFactor, got a BandedFactor")
-        with pytest.raises(ValueError, match=want):
-            block_resolvent(np.ones(6), np.ones(5), 1.0, 2.0, op, cache=wrong)
+    @pytest.mark.parametrize("t, s", [(np.nan, 1.0), (1.0, np.inf), (1e200, 1e200)])
+    def test_nonfinite_steps_rejected(self, t, s):
+        # NaN, inf and a product t*s that overflows are named as stepsizes,
+        # not reported as a non-finite matrix by the factorization below.
+        for op in (LinearMap(np.eye(2)), DifferenceMap(3)):
+            with pytest.raises(ValueError, match=re.escape(f"t={t}, s={s}")):
+                block_resolvent(np.ones(op.cols), np.ones(op.rows), t, s, op)
+
+    def test_factor_of_another_coupling_never_used(self):
+        # Two same-shape maps called alternately at one (t, s) each solve
+        # with their own factor.
+        rng = np.random.default_rng(37)
+        ops = [LinearMap(rng.standard_normal((5, 7))) for _ in range(2)]
+        t, s = 1.0, 2.0
+        for _ in range(3):
+            for op in ops:
+                r1 = rng.standard_normal(7)
+                r2 = rng.standard_normal(5)
+                u, v, _ = block_resolvent(r1, r2, t, s, op)
+                scale = max(1.0, np.linalg.norm(r1), np.linalg.norm(r2))
+                assert np.linalg.norm(u + t * op.mat.T @ v - r1) <= 1e-10 * scale
+                assert np.linalg.norm(-s * op.mat @ u + v - r2) <= 1e-10 * scale
+        # A state carried over from another LAD problem of the same shape
+        # sweeps exactly as a fresh state with the same points and steps.
+        first, second = lad_like(3), lad_like(4)
+        carried = initial_state(first, 1.0, 1.0)
+        for _ in range(3):
+            carried, _ = pd_dr_step(carried, first)
+        fresh = DRState(p=carried.p, q=carried.q, t=carried.t, s=carried.s, k=carried.k)
+        carried, out_carried = pd_dr_step(carried, second)
+        fresh, out_fresh = pd_dr_step(fresh, second)
+        for got, want in zip([*out_carried, carried.p, carried.q],
+                             [*out_fresh, fresh.p, fresh.q]):
+            assert_bitwise(got, want)
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=100)
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+           structured=st.booleans(),
+           seed=st.integers(0, 2**32 - 1),
+           log_steps=st.tuples(st.floats(-6, 4), st.floats(-6, 4)),
+           move=st.sampled_from(["t+ulp", "t-ulp", "s+ulp", "s-ulp", "both-ulp", "far"]),
+           log_far=st.tuples(st.floats(-6, 4), st.floats(-6, 4)))
+    def test_history_independent(self, shape, structured, seed, log_steps, move, log_far):
+        # The resolvent at (t, s) after one at (t', s') equals, bitwise, the
+        # resolvent at (t, s) on a fresh coupling, for (t', s') anywhere,
+        # one ulp away from (t, s) included.
+        rng = np.random.default_rng(seed)
+        kmat = rng.standard_normal(shape)
+        make = (lambda: DifferenceMap(shape[1] + 1)) if structured else (lambda: LinearMap(kmat))
+        t, s = (10.0 ** v for v in log_steps)
+        up, down = np.inf, 0.0
+        t_prev, s_prev = {
+            "t+ulp": (np.nextafter(t, up), s), "t-ulp": (np.nextafter(t, down), s),
+            "s+ulp": (t, np.nextafter(s, up)), "s-ulp": (t, np.nextafter(s, down)),
+            "both-ulp": (np.nextafter(t, up), np.nextafter(s, down)),
+            "far": tuple(10.0 ** v for v in log_far),
+        }[move]
+        rows, cols = make().shape
+        r1, r2 = rng.standard_normal(cols), rng.standard_normal(rows)
+        want = block_resolvent(r1, r2, t, s, make())[:2]
+        op = make()
+        block_resolvent(r1, r2, t_prev, s_prev, op)
+        got = block_resolvent(r1, r2, t, s, op)[:2]
+        for g, w in zip(got, want):
+            assert_bitwise(g, w)
+        # The same through the coupling block of the doubled-space form.
+        w = np.concatenate([r1, r2])
+        dd, dd_prev = (np.concatenate([np.full(cols, a), np.full(rows, b)])
+                       for a, b in ((t, s), (t_prev, s_prev)))
+        fresh = coupling_block_resolvent(coupling_only(make()))
+        used = coupling_block_resolvent(coupling_only(make()))
+        used(w, dd_prev)
+        assert_bitwise(used(w, dd), fresh(w, dd))
+
+
+def coupling_only(coupling):
+    """A problem with nothing but its coupling, for the coupling block alone."""
+    return PdProblem(f_prox=None, gstar_prox=None, coupling=coupling, objective=None)
 
 
 class TestSweep:
@@ -313,6 +387,12 @@ class TestSweep:
             with pytest.raises(ValueError):
                 solve(prob, policy, max_iter=5, **settings)
 
+    def test_overflowing_step_product_rejected(self):
+        # Each stepsize is finite, their product is not: a usage error naming
+        # both, not a non-finite Schur complement.
+        with pytest.raises(ValueError, match=re.escape("t=1e+200, s=1e+200")):
+            solve(lad_like(7), ConstantPolicy(1e200, 1e200), max_iter=5, tol=0.0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
     def test_policy_results_checked(self, bad):
         # A policy that hands back a stepsize the factorization cannot use
@@ -374,7 +454,7 @@ def reference_lad_run(a, b, weight, policy, sweeps):
     p, q = np.zeros(n), np.zeros(m)
     dual_side = m < n
     gram = a @ a.T if dual_side else a.T @ a
-    factor = None
+    factor, factored_ts = None, None
     rows = []
 
     def one_side(step, point, shadow, k, lo, hi):
@@ -395,10 +475,11 @@ def reference_lad_run(a, b, weight, policy, sweeps):
         y = z - np.sign(z) * np.maximum(np.abs(z) - 1.0, 0.0)
         r1, r2 = 2.0 * x - p, 2.0 * y - q
         ts = t * s
-        # The solver keeps its factor while t*s moves by at most 1e-12
-        # relative, so the restatement does too.
-        if factor is None or abs(factor.fingerprint - ts) > 1e-12 * abs(ts):
-            factor = linalg.spd_factor(np.eye(gram.shape[0]) + ts * gram, fingerprint=ts)
+        # The coupling refactors whenever t*s changes at all, so the
+        # restatement does too.
+        if factor is None or factored_ts != ts:
+            factor = linalg.spd_factor(np.eye(gram.shape[0]) + ts * gram)
+            factored_ts = ts
         if dual_side:
             v = cho_solve((factor.lower, True), r2 + s * (a @ r1))
             u = r1 - t * (a.T @ v)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,12 @@ class TestSplittingAsProximalPoint:
         res = dr_as_proximal_point(prob, lambda k: (1.0, -1.0))
         with pytest.raises(ValueError):
             res.apply(np.zeros(2 * (prob.primal_dim + prob.dual_dim)), 0)
+
+    @pytest.mark.parametrize("t, s", [(np.nan, 1.0), (1.0, np.inf), (1e200, 1e200)])
+    def test_rejects_nonfinite_schedule(self, t, s):
+        # Named as stepsizes, not as a preconditioner that varies on a block.
+        prob = small_problem(7)
+        res = dr_as_proximal_point(prob, lambda k: (t, s))
+        with pytest.raises(ValueError, match=re.escape("at step 3") + ".*"
+                           + re.escape(f"t={t}, s={s}")):
+            res.apply(np.zeros(2 * (prob.primal_dim + prob.dual_dim)), 3)
