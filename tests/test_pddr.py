@@ -166,6 +166,23 @@ class TestBlockResolvent:
             with pytest.raises(ValueError, match=re.escape(f"t={t}, s={s}")):
                 block_resolvent(np.ones(op.cols), np.ones(op.rows), t, s, op)
 
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_cached_factor_of_wrong_kind_rejected(self, structured):
+        # A banded and a dense coupling of the same matrix, factored at the
+        # same t*s: each solve uses a factor its own coupling built, never
+        # the other kind's.
+        diff = DifferenceMap(6)
+        dense = LinearMap(diff.mat)
+        op, other = (diff, dense) if structured else (dense, diff)
+        r1, r2 = np.arange(1.0, 7.0), np.arange(1.0, 6.0)
+        _, _, wrong = block_resolvent(r1, r2, 1.0, 2.0, other)
+        u, v, fac = block_resolvent(r1, r2, 1.0, 2.0, op)
+        assert fac is not wrong and fac is op.schur(2.0) and fac.ts == 2.0
+        assert other.schur(2.0) is wrong
+        scale = max(1.0, np.linalg.norm(r1), np.linalg.norm(r2))
+        assert np.linalg.norm(u + 1.0 * diff.mat.T @ v - r1) <= 1e-10 * scale
+        assert np.linalg.norm(-2.0 * diff.mat @ u + v - r2) <= 1e-10 * scale
+
     def test_factor_of_another_coupling_never_used(self):
         # Two same-shape maps called alternately at one (t, s) each solve
         # with their own factor.
