@@ -9,8 +9,20 @@ and the resulting multiplicative update is capped:
     t_next = min(((1 - w_k) + w_k * clamp(ratio)) * t, cap)
 
 With the default halving relaxation the weights are summable, so the
-stepsize sequence converges and the updates eventually become exact no-ops
-in floating point.
+stepsize sequence converges, and from a step that depends only on the upper
+safeguards the update is the identity, bit for bit: once w_k = 2**-k is at
+most 2**-54 and 2**-53 / hi, the multiplier rounds to exactly 1.0 for every
+clamped ratio (k = 67 for the default hi = 1e4).  The metric is constant from there
+on, so the iteration is a fixed-metric degenerate proximal point method.
+
+A policy is any object with ``initial(t0, s0) -> (t, s)`` and
+``update(t, s, x, p, y, q, k) -> (t, s)``.  It may also carry a read-only
+``frozen_from``: the first step k from which ``update`` returns its (t, s)
+unchanged, bit for bit, for every input reachable from ``initial``; or
+``None`` if it cannot tell.  :func:`drsplit.pddr.solve` stops calling
+``update`` at that step.  The adaptive policies report it when their
+schedules are :func:`default_relaxation` itself, and ``None`` for any other
+schedule; ``ConstantPolicy`` reports 0.
 """
 
 import math
@@ -38,6 +50,24 @@ def default_relaxation(k: int) -> float:
     return 2.0 ** (-k)
 
 
+def _halving_freeze_step(hi: float) -> int:
+    """First step from which the halving-relaxed update is the identity.
+
+    The smallest k >= 54 with 2**-k * hi <= 2**-53, exactly, or 1075 if
+    that is earlier: there 2**-k underflows to 0.0 whatever hi is.  From
+    that step on w = 2**-k makes ``1 - w`` round to 1.0 (a tie at k = 54,
+    broken to even) and ``w * c`` at most 2**-53 for every clamped ratio
+    c <= hi, so ``1.0 + w * c`` rounds to 1.0 too, and the capped product
+    returns any stepsize at or below the cap unchanged.  ``hi`` must be
+    finite and positive.
+    """
+    mantissa, exponent = math.frexp(hi)
+    # hi = mantissa * 2**exponent with 0.5 <= mantissa < 1, so the least
+    # power of two at or above hi is 2**(exponent - 1) if mantissa == 0.5,
+    # else 2**exponent.
+    return min(max(54, 53 + exponent - (mantissa == 0.5)), 1075)
+
+
 @dataclass(frozen=True)
 class AdaptiveConfig:
     """Safeguards, relaxation schedules, and the hard cap.
@@ -56,10 +86,10 @@ class AdaptiveConfig:
     cap: float = 1e4
 
     def __post_init__(self):
-        if not 0 < self.lo_t < self.hi_t:
-            raise ValueError(f"need 0 < lo_t < hi_t, got {self.lo_t}, {self.hi_t}")
-        if not 0 < self.lo_s < self.hi_s:
-            raise ValueError(f"need 0 < lo_s < hi_s, got {self.lo_s}, {self.hi_s}")
+        if not 0 < self.lo_t < self.hi_t < math.inf:
+            raise ValueError(f"need 0 < lo_t < hi_t < inf, got {self.lo_t}, {self.hi_t}")
+        if not 0 < self.lo_s < self.hi_s < math.inf:
+            raise ValueError(f"need 0 < lo_s < hi_s < inf, got {self.lo_s}, {self.hi_s}")
         if not 0 < self.cap < math.inf:
             raise ValueError(f"cap must be finite and positive, got {self.cap}")
         if self.relax_t(0) != 1.0 or self.relax_s(0) != 1.0:
@@ -127,15 +157,23 @@ def adaptive_update(t: float, s: float, x, p, y, q, k: int,
 
 @dataclass(frozen=True)
 class ConstantPolicy:
-    """Fixed stepsizes; ``initial`` overrides whatever the solver was given."""
+    """Fixed stepsizes; ``initial`` overrides whatever the solver was given.
+
+    Both are stored as Python floats, so every trace row carries floats.
+    """
 
     t: float
     s: float
+
+    # update returns what initial did from the start.
+    frozen_from = 0
 
     def __post_init__(self):
         if not (0 < self.t < math.inf and 0 < self.s < math.inf):
             raise ValueError(
                 f"stepsizes must be finite and positive, got {self.t}, {self.s}")
+        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "s", float(self.s))
 
     def initial(self, t0: float, s0: float) -> tuple[float, float]:
         return self.t, self.s
@@ -149,6 +187,15 @@ class TAdaptivePolicy:
     """Single shared adaptive stepsize: s tracks t, driven by the primal side."""
 
     config: AdaptiveConfig = field(default_factory=AdaptiveConfig)
+
+    @property
+    def frozen_from(self) -> int | None:
+        """:func:`_halving_freeze_step` of ``hi_t`` under the default primal
+        schedule (s follows t, so ``relax_s`` plays no part), else None."""
+        cfg = self.config
+        if cfg.relax_t is default_relaxation:
+            return _halving_freeze_step(cfg.hi_t)
+        return None
 
     def initial(self, t0: float, s0: float) -> tuple[float, float]:
         t = min(t0, self.config.cap)
@@ -166,6 +213,15 @@ class TsAdaptivePolicy:
     """Independently adapted primal and dual stepsizes."""
 
     config: AdaptiveConfig = field(default_factory=AdaptiveConfig)
+
+    @property
+    def frozen_from(self) -> int | None:
+        """The later :func:`_halving_freeze_step` of the two sides when both
+        schedules are :func:`default_relaxation`, else None."""
+        cfg = self.config
+        if cfg.relax_t is default_relaxation and cfg.relax_s is default_relaxation:
+            return max(_halving_freeze_step(cfg.hi_t), _halving_freeze_step(cfg.hi_s))
+        return None
 
     def initial(self, t0: float, s0: float) -> tuple[float, float]:
         return min(t0, self.config.cap), min(s0, self.config.cap)

@@ -5,6 +5,7 @@ seeds give bitwise-identical instances and, the solver being deterministic,
 bitwise-identical traces.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,8 +65,9 @@ def make_lad_problem(design, observations, reg_weight: float) -> PdProblem:
     """Wire ``min_x ||Ax - b||_1 + reg_weight * ||x||_1`` for the solver."""
     a = np.asarray(design, dtype=float)
     b = np.asarray(observations, dtype=float)
-    if reg_weight <= 0:
-        raise ValueError(f"regularization weight must be positive, got {reg_weight}")
+    if not 0 < reg_weight < math.inf:
+        raise ValueError(
+            f"regularization weight must be finite and positive, got {reg_weight}")
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: design {a.shape}, observations {b.shape}")
 
@@ -100,8 +102,9 @@ def forward_difference_map(n: int) -> DifferenceMap:
 def make_tv_problem(noisy, reg_weight: float) -> tuple[PdProblem, DifferenceMap]:
     """Wire ``min_x 0.5 ||x - noisy||^2 + reg_weight * ||Dx||_1``."""
     y = np.asarray(noisy, dtype=float)
-    if reg_weight <= 0:
-        raise ValueError(f"regularization weight must be positive, got {reg_weight}")
+    if not 0 < reg_weight < math.inf:
+        raise ValueError(
+            f"regularization weight must be finite and positive, got {reg_weight}")
     diff = forward_difference_map(y.size)
 
     def objective(x):
@@ -136,8 +139,8 @@ def gen_tv(seed: int, n: int = 500, noise_level: float = 0.05,
     """Piecewise-constant signal (default 5 plateaus) plus Gaussian noise."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
-    if noise_level < 0:
-        raise ValueError(f"noise level must be nonnegative, got {noise_level}")
+    if not 0 <= noise_level < math.inf:
+        raise ValueError(f"noise level must be finite and nonnegative, got {noise_level}")
     if plateaus < 1:
         raise ValueError(f"need at least one plateau, got {plateaus}")
     rng = np.random.default_rng(seed)

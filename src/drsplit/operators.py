@@ -6,6 +6,7 @@ continuous limit).  Stepsizes are passed per call so an adaptive controller
 can change them between iterations without rebuilding operator objects.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -60,7 +61,9 @@ def prox_shifted_l1_conj(y, step: float, shift) -> np.ndarray:
     if v.shape != b.shape:
         raise ValueError(f"shape mismatch: {v.shape} vs shift {b.shape}")
     z = v - step * b
-    return np.clip(z, -1.0, 1.0)
+    # np.clip computes the same bits, NaN and signed zeros included, but adds
+    # a Python-level dispatch to every sweep.
+    return np.minimum(np.maximum(z, -1.0), 1.0)
 
 
 def prox_quadratic_fidelity(p, step: float, data) -> np.ndarray:
@@ -82,7 +85,7 @@ def prox_box_dual(q, bound: float) -> np.ndarray:
     """
     if bound <= 0:
         raise ValueError(f"bound must be positive, got {bound}")
-    return np.clip(np.asarray(q, dtype=float), -bound, bound)
+    return np.minimum(np.maximum(np.asarray(q, dtype=float), -bound), bound)
 
 
 def moreau_dual_resolvent(x, sigma_diag, primal_resolvent) -> np.ndarray:
@@ -116,8 +119,8 @@ def moreau_dual_resolvent(x, sigma_diag, primal_resolvent) -> np.ndarray:
 
 def scaled_l1_prox(weight: float) -> ProxMap:
     """Prox map of f = weight * ||.||_1; the call stepsize multiplies weight."""
-    if weight <= 0:
-        raise ValueError(f"weight must be positive, got {weight}")
+    if not 0 < weight < math.inf:
+        raise ValueError(f"weight must be finite and positive, got {weight}")
     return ProxMap(lambda v, step: prox_l1(v, step * weight), tag="l1")
 
 
@@ -135,6 +138,6 @@ def quadratic_fidelity_prox(data) -> ProxMap:
 
 def box_dual_prox(bound: float) -> ProxMap:
     """Prox map of the conjugate of bound * ||.||_1 (stepsize-independent)."""
-    if bound <= 0:
-        raise ValueError(f"bound must be positive, got {bound}")
+    if not 0 < bound < math.inf:
+        raise ValueError(f"bound must be finite and positive, got {bound}")
     return ProxMap(lambda v, step: prox_box_dual(v, bound), tag="box-dual")

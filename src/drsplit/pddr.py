@@ -276,7 +276,11 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
         Problem data.
     policy : stepsize policy
         Object with ``initial(t0, s0)`` and
-        ``update(t, s, x, p, y, q, k) -> (t, s)``; see :mod:`drsplit.adaptive`.
+        ``update(t, s, x, p, y, q, k) -> (t, s)``, and optionally
+        ``frozen_from``, the first step from which ``update`` is the identity
+        bit for bit; ``update`` is called for steps ``k < frozen_from`` only,
+        or for every step if the attribute is missing or None.  See
+        :mod:`drsplit.adaptive`.
     max_iter : int
         Iteration budget.
     tol : float
@@ -312,6 +316,8 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
     check_steps(t0, s0, "starting stepsizes")
     state = initial_state(prob, *policy.initial(t0, s0), p0=p0, q0=q0)
     t, s = state.t, state.s
+    frozen_from = getattr(policy, "frozen_from", None)
+    update_until = max_iter if frozen_from is None else frozen_from
     rows: list[TraceRow] = []
     out = None
     for k in range(max_iter):
@@ -336,11 +342,12 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
             raise IterationDiverged(
                 k, state=DRState(p=p, q=q, t=t, s=s, k=k))
         rows.append(TraceRow(k, objective, t, s, residual))
-        t, s = policy.update(t, s, out.x, p, out.y, q, k)
-        # This check keeps a stepsize that would poison the factorization
-        # out of the next sweep.
-        check_steps(t, s, f"the stepsizes the policy returned at step {k}")
-        state.t, state.s = t, s
+        if k < update_until:
+            t, s = policy.update(t, s, out.x, p, out.y, q, k)
+            # This check keeps a stepsize that would poison the factorization
+            # out of the next sweep.
+            check_steps(t, s, f"the stepsizes the policy returned at step {k}")
+            state.t, state.s = t, s
         if residual <= tol:
             break
     return out.x, out.y, SolveTrace(rows)

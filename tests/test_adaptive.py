@@ -2,12 +2,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drsplit.adaptive import (
     AdaptiveConfig,
     ConstantPolicy,
     TAdaptivePolicy,
     TsAdaptivePolicy,
+    _halving_freeze_step,
+    _one_side,
     adaptive_update,
     default_relaxation,
 )
@@ -51,6 +55,16 @@ class TestConfig:
         # min(t, nan) is t, so a NaN cap would silently switch the cap off.
         with pytest.raises(ValueError, match="cap"):
             AdaptiveConfig(cap=cap)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"hi_t": np.inf}, {"hi_s": np.inf}, {"lo_t": np.nan}, {"hi_s": np.nan},
+        {"lo_s": np.inf, "hi_s": np.inf},
+    ], ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_safeguards_must_be_finite(self, kwargs):
+        # An infinite upper safeguard has no freeze step: the update would
+        # move the stepsize at every k while the weight is nonzero.
+        with pytest.raises(ValueError, match="< inf"):
+            AdaptiveConfig(**kwargs)
 
 
 def update_t(t, x, p, k, **cfg_kw):
@@ -195,6 +209,12 @@ class TestPolicies:
         with pytest.raises(ValueError):
             ConstantPolicy(0.0, 1.0)
 
+    def test_constant_stores_floats(self):
+        pol = ConstantPolicy(1, np.float32(2.5))
+        assert type(pol.t) is float and type(pol.s) is float
+        assert pol.initial(9.0, 9.0) == (1.0, 2.5)
+        assert all(type(v) is float for v in pol.update(1.0, 2.5, None, None, None, None, 0))
+
     @pytest.mark.parametrize("pair", [(np.nan, 1.0), (1.0, np.nan),
                                       (np.inf, 1.0), (1.0, -np.inf)])
     def test_constant_rejects_nonfinite(self, pair):
@@ -219,3 +239,75 @@ class TestPolicies:
         args = (1.0, 3.0, np.array([2.0]), np.array([1.0]),
                 np.array([1.0]), np.array([4.0]), 0)
         assert pol.update(*args) == adaptive_update(*args, cfg)
+
+
+finite_positive = st.floats(min_value=5e-324, max_value=1.7976931348623157e308)
+small_vectors = st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=4).map(np.array)
+
+
+class TestFreeze:
+    def test_reported_steps(self):
+        assert TsAdaptivePolicy().frozen_from == 67
+        assert TAdaptivePolicy().frozen_from == 67
+        assert ConstantPolicy(1.0, 2.0).frozen_from == 0
+        # The later side decides; s follows t under the single-step policy.
+        cfg = AdaptiveConfig(hi_t=2.0, hi_s=1e8)
+        assert TsAdaptivePolicy(cfg).frozen_from == 80
+        assert TAdaptivePolicy(cfg).frozen_from == 54
+
+    def test_exact_at_powers_of_two(self):
+        # 2**-63 * 2**10 is exactly 2**-53; one more bit of hi needs one
+        # more step, no hi needs fewer than 54, and none more than 1075,
+        # where the weight underflows to 0.
+        assert _halving_freeze_step(1024.0) == 63
+        assert _halving_freeze_step(np.nextafter(1024.0, np.inf)) == 64
+        assert _halving_freeze_step(2.0) == 54
+        assert _halving_freeze_step(1e-300) == 54
+        assert _halving_freeze_step(2.0 ** 1021) == 1074
+        assert _halving_freeze_step(np.nextafter(2.0 ** 1021, np.inf)) == 1075
+        assert _halving_freeze_step(1.7976931348623157e308) == 1075
+
+    def test_custom_schedules_report_nothing(self):
+        # Equal values are not enough: only default_relaxation itself is
+        # known to be the halving schedule.
+        halving = AdaptiveConfig(relax_t=lambda k: 2.0 ** -k)
+        assert TsAdaptivePolicy(halving).frozen_from is None
+        assert TAdaptivePolicy(halving).frozen_from is None
+        dual_only = AdaptiveConfig(relax_s=lambda k: 2.0 ** -k)
+        assert TsAdaptivePolicy(dual_only).frozen_from is None
+        assert TAdaptivePolicy(dual_only).frozen_from == 67
+
+    def test_frozen_from_is_read_only(self):
+        for pol in (TsAdaptivePolicy(), TAdaptivePolicy(), ConstantPolicy(1.0, 1.0)):
+            with pytest.raises(AttributeError):
+                pol.frozen_from = 1
+
+    @settings(database=None, derandomize=True, deadline=None, max_examples=300)
+    @given(bounds=st.tuples(finite_positive, finite_positive).filter(lambda b: b[0] != b[1]),
+           cap=finite_positive, step_share=st.floats(0.0, 1.0),
+           beyond=st.integers(0, 1200), point=small_vectors, gap=small_vectors,
+           same=st.booleans())
+    @example(bounds=(1e-4, 1e4), cap=1e4, step_share=1.0, beyond=0,
+             point=np.array([1.0]), gap=np.array([0.0]), same=True)
+    def test_identity_from_freeze_step(self, bounds, cap, step_share, beyond, point, gap,
+                                       same):
+        # For any finite 0 < lo < hi, any k >= frozen_from and any stepsize
+        # at or below the cap, the update returns the stepsize bitwise.  The
+        # example is the default config, zero displacement clamping the
+        # ratio to hi.
+        lo, hi = sorted(bounds)
+        step = max(cap * step_share, 5e-324)
+        shadow = point.copy() if same else point + gap[:1]
+        pol = TsAdaptivePolicy(AdaptiveConfig(lo_t=lo, hi_t=hi, lo_s=lo, hi_s=hi, cap=cap))
+        k = pol.frozen_from + beyond
+        got = _one_side(step, point, shadow, default_relaxation(k), lo, hi, cap)
+        assert got.hex() == step.hex()
+        # The dual side is held at a stepsize whose product with t is finite.
+        other = min(step, 1.0)
+        assert pol.update(step, other, point, shadow, point, shadow, k) == (step, other)
+        # The step is the first one: just before it, ratio hi moves 1.0.
+        # (At 54 the floor of the rule, not hi, sets the step.)
+        if pol.frozen_from > 54 and cap >= 2.0:
+            one = np.array([1.0])
+            before = default_relaxation(pol.frozen_from - 1)
+            assert _one_side(1.0, one, one.copy(), before, lo, hi, cap) > 1.0

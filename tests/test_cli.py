@@ -232,12 +232,30 @@ class TestNonFiniteSettings:
         ["--policy", "constant", "--s0", "inf"],
         ["--t0", "nan"],
         ["--s0=-inf"],
+        ["--safeguard-hi", "inf"],
+        ["--safeguard-lo", "nan"],
+        ["--lambda", "nan"],
     ], ids=lambda flags: " ".join(flags))
     def test_usage_error_exit_2(self, tmp_path, capsys, flags):
         out = tmp_path / "t.csv"
         code, _, stderr = run(
             ["lad", "--m", "20", "--n", "10", "--max-iter", "5",
              "--out", str(out), *flags], capsys)
+        assert code == 2
+        assert "invalid configuration" in stderr
+        assert "numerical abort" not in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "inf"],
+        ["--lambda", "nan"],
+        ["--noise", "nan"],
+        ["--noise", "inf"],
+    ], ids=lambda flags: " ".join(flags))
+    def test_tv_usage_error_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "t.csv"
+        code, _, stderr = run(
+            ["tv", "--n", "20", "--max-iter", "5", "--out", str(out), *flags], capsys)
         assert code == 2
         assert "invalid configuration" in stderr
         assert "numerical abort" not in stderr

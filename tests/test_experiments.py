@@ -68,6 +68,17 @@ class TestGenerators:
         assert np.count_nonzero(jumps) <= 3
         assert np.abs(inst.noisy).max() <= 0.3
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", [
+        lambda bad: make_lad_problem(np.ones((4, 2)), np.ones(4), bad),
+        lambda bad: make_tv_problem(np.ones(4), bad),
+        lambda bad: gen_tv(0, n=10, noise_level=bad),
+    ], ids=["make_lad_problem", "make_tv_problem", "gen_tv-noise"])
+    def test_nonfinite_settings_rejected(self, entry, bad):
+        # Rejected where they enter, not found as a non-finite iterate later.
+        with pytest.raises(ValueError, match="finite"):
+            entry(bad)
+
     def test_tv_validation(self):
         with pytest.raises(ValueError):
             gen_tv(0, n=1)

@@ -156,6 +156,34 @@ class TestShiftedL1Conj:
             [-1.0, 1.0])
 
 
+# NaN of both signs, signed zeros, infinities, huge values, and neighbours
+# of 2**53 and of 1.
+CLAMP_EDGES = np.array([
+    np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300,
+    *(sign * np.nextafter(2.0 ** 53, d) for sign in (1, -1) for d in (0, np.inf)),
+    2.0 ** 53, -(2.0 ** 53),
+    *(sign * np.nextafter(1.0, d) for sign in (1, -1) for d in (0, np.inf)),
+    1.0, -1.0, 0.5, -0.5, 5e-324, -5e-324,
+])
+
+
+def test_clamps_match_np_clip_bitwise():
+    # The clamps use np.minimum(np.maximum(.)) in place of np.clip; the bits,
+    # NaN payloads and signs of zero included, must be those of np.clip.
+    def bits(a):
+        return np.asarray(a).view(np.int64)
+
+    rng = np.random.default_rng(5)
+    shift = rng.standard_normal(CLAMP_EDGES.size)
+    for step in (0.0, 1.0, 3.5):
+        want = np.clip(CLAMP_EDGES - step * shift, -1.0, 1.0)
+        np.testing.assert_array_equal(
+            bits(prox_shifted_l1_conj(CLAMP_EDGES, step, shift)), bits(want))
+    for bound in (1.0, 0.7, 2.0 ** 53, 1e300):
+        np.testing.assert_array_equal(bits(prox_box_dual(CLAMP_EDGES, bound)),
+                                      bits(np.clip(CLAMP_EDGES, -bound, bound)))
+
+
 def componentwise_soft(u, thresholds):
     return np.sign(u) * np.maximum(np.abs(u) - thresholds, 0.0)
 
@@ -264,6 +292,13 @@ class TestFactories:
             scaled_l1_prox(-1.0)
         with pytest.raises(ValueError):
             box_dual_prox(-0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("factory", [scaled_l1_prox, box_dual_prox])
+    def test_nonfinite_weight_rejected(self, factory, bad):
+        # A NaN weight would pass "weight <= 0" and poison the first sweep.
+        with pytest.raises(ValueError, match="finite"):
+            factory(bad)
 
     def test_firm_nonexpansiveness_across_catalog(self):
         rng = np.random.default_rng(909)

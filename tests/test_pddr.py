@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
 from drsplit import linalg
-from drsplit.adaptive import AdaptiveConfig, ConstantPolicy, TsAdaptivePolicy
-from drsplit.experiments import make_tv_problem
+from drsplit.adaptive import AdaptiveConfig, ConstantPolicy, TAdaptivePolicy, TsAdaptivePolicy
+from drsplit.experiments import gen_lad, gen_tv, make_tv_problem
 from drsplit.linalg import DifferenceMap, LinearMap
 from drsplit.operators import (
     ProxMap,
@@ -547,6 +547,74 @@ class TestNoArithmeticChange:
         if isinstance(policy, TsAdaptivePolicy):
             # The run must exercise the adaptive rule, not sit at (1, 1).
             assert len({(r.t, r.s) for r in trace.rows}) > 10
+
+
+class CountingPolicy:
+    """Delegates to ``policy``, counts its ``update`` calls, and forwards its
+    ``frozen_from`` unless ``hide`` is set."""
+
+    def __init__(self, policy, hide=False):
+        self.policy = policy
+        self.calls = 0
+        if not hide:
+            self.frozen_from = getattr(policy, "frozen_from", None)
+
+    def initial(self, t0, s0):
+        return self.policy.initial(t0, s0)
+
+    def update(self, *args):
+        self.calls += 1
+        return self.policy.update(*args)
+
+
+def assert_same_solve(prob, policy, max_iter):
+    """``solve`` skipping the frozen updates equals ``solve`` calling
+    ``update`` on every step, bitwise; returns the skipping run's trace."""
+    skipping, full = CountingPolicy(policy), CountingPolicy(policy, hide=True)
+    *got, trace = solve(prob, skipping, max_iter=max_iter, tol=0.0)
+    *want, trace_full = solve(prob, full, max_iter=max_iter, tol=0.0)
+    for g, w in zip(got, want):
+        assert_bitwise(g, w)
+    assert_bitwise(np.array(trace.rows, dtype=float), np.array(trace_full.rows, dtype=float))
+    assert full.calls == max_iter
+    assert skipping.calls == min(policy.frozen_from, max_iter)
+    return trace
+
+
+class TestFreeze:
+    # solve stops calling update at the policy's frozen_from.  The skip must
+    # not move a bit of x, y or any trace row.
+    @pytest.mark.parametrize("seed, policy", [
+        (0, TsAdaptivePolicy()), (1, TsAdaptivePolicy()), (2, TsAdaptivePolicy()),
+        (0, TAdaptivePolicy()), (0, ConstantPolicy(1.1, 0.9)),
+    ], ids=["ts-0", "ts-1", "ts-2", "t-0", "constant-0"])
+    def test_lad_skip_is_bitwise(self, seed, policy):
+        _, prob = gen_lad(seed)
+        trace = assert_same_solve(prob, policy, 5000)
+        if policy.frozen_from:
+            # The adaptive runs move their stepsizes before the freeze.
+            assert len({(r.t, r.s) for r in trace.rows[:policy.frozen_from]}) > 10
+
+    @pytest.mark.parametrize("weight", [0.01, 0.1, 1.0, 10.0])
+    def test_tv_sweep_skip_is_bitwise(self, weight):
+        # The criterion-8 sweep, weight 10 driving s into the cap.
+        _, prob = gen_tv(0, reg_weight=weight)
+        assert_same_solve(prob, TsAdaptivePolicy(AdaptiveConfig(cap=1e4)), 1000)
+
+    @pytest.mark.parametrize("make", [TsAdaptivePolicy, TAdaptivePolicy],
+                             ids=["ts-adaptive", "t-adaptive"])
+    def test_custom_schedule_updates_every_step(self, make):
+        # A schedule equal to the default in value but not in identity is
+        # never skipped.
+        policy = CountingPolicy(make(AdaptiveConfig(relax_t=lambda k: 2.0 ** -k)))
+        assert policy.frozen_from is None
+        solve(lad_like(5), policy, max_iter=150, tol=0.0)
+        assert policy.calls == 150
+
+    def test_constant_rows_carry_floats(self):
+        _, _, trace = solve(lad_like(5), ConstantPolicy(1, 2), max_iter=5, tol=0.0)
+        assert all(type(r.t) is float and type(r.s) is float for r in trace.rows)
+        assert {(r.t, r.s) for r in trace.rows} == {(1.0, 2.0)}
 
 
 class TestGoverningForm:
