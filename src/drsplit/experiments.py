@@ -71,8 +71,11 @@ def make_lad_problem(design, observations, reg_weight: float) -> PdProblem:
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: design {a.shape}, observations {b.shape}")
 
+    # np.add.reduce is what ndarray.sum and np.sum call, minus their
+    # Python-level argument handling: the same bits, once per sweep.
     def objective(x):
-        return float(np.abs(a @ x - b).sum() + reg_weight * np.abs(x).sum())
+        return float(np.add.reduce(np.abs(a @ x - b))
+                     + reg_weight * np.add.reduce(np.abs(x)))
 
     return PdProblem(
         f_prox=scaled_l1_prox(reg_weight),
@@ -108,8 +111,8 @@ def make_tv_problem(noisy, reg_weight: float) -> tuple[PdProblem, DifferenceMap]
     diff = forward_difference_map(y.size)
 
     def objective(x):
-        return float(0.5 * np.sum((x - y) ** 2)
-                     + reg_weight * np.abs(diff.matvec(x)).sum())
+        return float(0.5 * np.add.reduce((x - y) ** 2)
+                     + reg_weight * np.add.reduce(np.abs(diff.matvec(x))))
 
     prob = PdProblem(
         f_prox=quadratic_fidelity_prox(y),
@@ -141,6 +144,8 @@ def gen_tv(seed: int, n: int = 500, noise_level: float = 0.05,
         raise ValueError(f"need at least 2 samples, got {n}")
     if not 0 <= noise_level < math.inf:
         raise ValueError(f"noise level must be finite and nonnegative, got {noise_level}")
+    if not 0 <= amplitude < math.inf:
+        raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude}")
     if plateaus < 1:
         raise ValueError(f"need at least one plateau, got {plateaus}")
     rng = np.random.default_rng(seed)

@@ -9,11 +9,11 @@ the callers rely on.
 
 A coupling operator (any :class:`Coupling`) owns the solve with its Schur
 complement ``I + ts*KK'`` or ``I + ts*K'K``: its ``schur(ts)`` returns the
-factored complement for exactly that ``ts`` (a :class:`Schur`), a dense
-Cholesky factor for a general K, a banded one, O(n), for forward
-differences.  The coupling keeps the last one and refactors whenever ``ts``
-changes in any bit, so a solve depends only on K and ``ts``, never on which
-products were factored before.
+factored complement for exactly that ``ts`` (a :class:`Schur`): a dense
+Cholesky factor for a general K, a tridiagonal LDLᵀ (``dpttrf``/``dpttrs``),
+O(n), for forward differences.  The coupling keeps the last one and
+refactors whenever ``ts`` changes in any bit, so a solve depends only on K
+and ``ts``, never on which products were factored before.
 
 Eigenvectors are computed only where they are used, by :func:`eig_pairs`
 (the spectral disc report); spectral radii and stepsize scans call
@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
 
 __all__ = [
     "Coupling",
@@ -344,8 +344,8 @@ class DifferenceMap:
     Products work by slicing, in O(n); for finite input they equal the dense
     products bit for bit.  ``DD'`` is tridiagonal (2 on the diagonal, -1
     beside it), so the Schur complement ``I + ts*DD'`` is factored and solved
-    by banded Cholesky, also in O(n).  The dense matrix is built only when
-    ``mat`` is read.
+    as a tridiagonal LDLᵀ (LAPACK ``dpttrf``/``dpttrs``), also in O(n).  The
+    dense matrix is built only when ``mat`` is read.
     """
 
     def __init__(self, n: int):
@@ -393,34 +393,31 @@ class DifferenceMap:
         return out
 
     def schur(self, ts: float) -> Schur:
-        """Banded Cholesky factor of ``I + ts*DD'``; the last one is kept
+        """Tridiagonal LDLᵀ factor of ``I + ts*DD'``; the last one is kept
         while ``ts`` is bitwise the same."""
         if self._schur is None or self._schur.ts != ts:
             if not math.isfinite(ts):
                 raise ValueError(f"Schur complement has non-finite entries (ts={ts})")
-            bands = np.empty((2, self.n - 1))
-            bands[0] = 1.0 + 2.0 * ts
-            bands[1] = -ts
-            c, info = dpbtrf(bands, lower=1, overwrite_ab=1)
+            rows = self.n - 1
+            # The f2py wrapper of dpttrf rejects an empty off-diagonal, so a
+            # single row gets a length-1 one, which LAPACK never reads.
+            d, e, info = dpttrf(np.full(rows, 1.0 + 2.0 * ts),
+                                np.full(max(rows - 1, 1), -ts),
+                                overwrite_d=1, overwrite_e=1)
             if info > 0:
                 raise NotPositiveDefiniteError(info - 1)
             if info < 0:
                 raise ValueError(
-                    f"illegal value in argument {-info} of banded Cholesky call")
-            self._schur = Schur(ts, lambda rhs: _banded_solve(c, rhs))
+                    f"illegal value in argument {-info} of tridiagonal factor call")
+
+            def solve(rhs):
+                # Like spd_solve, scans nothing for finiteness.  dpttrs takes
+                # a longer rhs without complaint and solves only its head.
+                b = np.asarray(rhs, dtype=float)
+                if b.shape != (rows,):
+                    raise ValueError(
+                        f"dimension mismatch: factor is {rows}, rhs has shape {b.shape}")
+                return dpttrs(d, e, b)[0]
+
+            self._schur = Schur(ts, solve)
         return self._schur
-
-
-def _banded_solve(bands: np.ndarray, rhs) -> np.ndarray:
-    """Solve with a banded Cholesky factor in LAPACK lower band storage.
-
-    Like :func:`spd_solve`, scans nothing for finiteness.
-    """
-    b = np.asarray(rhs, dtype=float)
-    if b.shape != (bands.shape[1],):
-        raise ValueError(
-            f"dimension mismatch: factor is {bands.shape[1]}, rhs has shape {b.shape}")
-    x, info = dpbtrs(bands, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of banded solve call")
-    return x

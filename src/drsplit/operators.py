@@ -41,12 +41,46 @@ class ProxMap:
         return np.asarray(self.fn(v, step), dtype=float)
 
 
+# Each prox has one arithmetic kernel.  The public ``prox_*`` function
+# validates its arguments and calls it.  The ProxMap a factory builds checks
+# only the stepsize: the factory checked its weight or bound, and the solver
+# passes points of the right shape.
+
+
+def _soft_threshold(v, tau):
+    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+
+
+# The clamps compute what np.clip does, bit for bit, NaN and signed zeros
+# included, without its Python-level dispatch on every sweep.
+def _clamp(z, bound):
+    return np.minimum(np.maximum(z, -bound), bound)
+
+
+def _shifted_l1_conj(v, step, b):
+    return np.minimum(np.maximum(v - step * b, -1.0), 1.0)
+
+
+def _quadratic_fidelity(v, step, d):
+    return (v + step * d) / (1.0 + step)
+
+
+def _check_step(step) -> None:
+    # Written so that a NaN stepsize fails too.
+    if not step >= 0:
+        raise ValueError(f"stepsize must be nonnegative, got {step}")
+
+
+def _same_shape(v, other, what: str) -> None:
+    if v.shape != other.shape:
+        raise ValueError(f"shape mismatch: {v.shape} vs {what} {other.shape}")
+
+
 def prox_l1(x, tau: float) -> np.ndarray:
     """Soft threshold: prox of tau * ||.||_1 at x."""
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError(f"threshold must be nonnegative, got {tau}")
-    v = np.asarray(x, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return _soft_threshold(np.asarray(x, dtype=float), tau)
 
 
 def prox_shifted_l1_conj(y, step: float, shift) -> np.ndarray:
@@ -54,27 +88,20 @@ def prox_shifted_l1_conj(y, step: float, shift) -> np.ndarray:
 
     Evaluates to the componentwise clamp of ``y - step * shift`` to [-1, 1].
     """
-    if step < 0:
-        raise ValueError(f"stepsize must be nonnegative, got {step}")
+    _check_step(step)
     v = np.asarray(y, dtype=float)
     b = np.asarray(shift, dtype=float)
-    if v.shape != b.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs shift {b.shape}")
-    z = v - step * b
-    # np.clip computes the same bits, NaN and signed zeros included, but adds
-    # a Python-level dispatch to every sweep.
-    return np.minimum(np.maximum(z, -1.0), 1.0)
+    _same_shape(v, b, "shift")
+    return _shifted_l1_conj(v, step, b)
 
 
 def prox_quadratic_fidelity(p, step: float, data) -> np.ndarray:
     """Prox of 0.5 * ||. - data||^2 at p with stepsize ``step``."""
-    if step < 0:
-        raise ValueError(f"stepsize must be nonnegative, got {step}")
+    _check_step(step)
     v = np.asarray(p, dtype=float)
     d = np.asarray(data, dtype=float)
-    if v.shape != d.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs data {d.shape}")
-    return (v + step * d) / (1.0 + step)
+    _same_shape(v, d, "data")
+    return _quadratic_fidelity(v, step, d)
 
 
 def prox_box_dual(q, bound: float) -> np.ndarray:
@@ -83,9 +110,9 @@ def prox_box_dual(q, bound: float) -> np.ndarray:
     This is the prox of the conjugate of ``bound * ||.||_1`` at any positive
     stepsize; the stepsize drops out, so none is taken.
     """
-    if bound <= 0:
+    if not bound > 0:
         raise ValueError(f"bound must be positive, got {bound}")
-    return np.minimum(np.maximum(np.asarray(q, dtype=float), -bound), bound)
+    return _clamp(np.asarray(q, dtype=float), bound)
 
 
 def moreau_dual_resolvent(x, sigma_diag, primal_resolvent) -> np.ndarray:
@@ -121,23 +148,38 @@ def scaled_l1_prox(weight: float) -> ProxMap:
     """Prox map of f = weight * ||.||_1; the call stepsize multiplies weight."""
     if not 0 < weight < math.inf:
         raise ValueError(f"weight must be finite and positive, got {weight}")
-    return ProxMap(lambda v, step: prox_l1(v, step * weight), tag="l1")
+
+    def prox(v, step):
+        _check_step(step)
+        return _soft_threshold(v, step * weight)
+
+    return ProxMap(prox, tag="l1")
 
 
 def shifted_l1_conjugate_prox(shift) -> ProxMap:
     """Prox map of the conjugate of g(u) = ||u - shift||_1."""
     b = np.asarray(shift, dtype=float)
-    return ProxMap(lambda v, step: prox_shifted_l1_conj(v, step, b), tag="l1-shift-conj")
+
+    def prox(v, step):
+        _check_step(step)
+        return _shifted_l1_conj(v, step, b)
+
+    return ProxMap(prox, tag="l1-shift-conj")
 
 
 def quadratic_fidelity_prox(data) -> ProxMap:
     """Prox map of f = 0.5 * ||. - data||^2."""
     d = np.asarray(data, dtype=float)
-    return ProxMap(lambda v, step: prox_quadratic_fidelity(v, step, d), tag="quad-fidelity")
+
+    def prox(v, step):
+        _check_step(step)
+        return _quadratic_fidelity(v, step, d)
+
+    return ProxMap(prox, tag="quad-fidelity")
 
 
 def box_dual_prox(bound: float) -> ProxMap:
     """Prox map of the conjugate of bound * ||.||_1 (stepsize-independent)."""
     if not 0 < bound < math.inf:
         raise ValueError(f"bound must be finite and positive, got {bound}")
-    return ProxMap(lambda v, step: prox_box_dual(v, bound), tag="box-dual")
+    return ProxMap(lambda v, step: _clamp(v, bound), tag="box-dual")

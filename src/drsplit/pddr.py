@@ -12,11 +12,11 @@ The solver alternates two proxes with a coupled linear correction step.  For
 and the candidate solution is the shadow pair (x, y).  The linear solve goes
 through the Schur complement, and the coupling operator alone owns it: its
 ``schur(t*s)`` (see :class:`~drsplit.linalg.Coupling`) returns a dense
-Cholesky factor for a general K, a banded one, O(n), for forward
-differences.  The coupling keeps its last factor and refactors whenever t*s
-changes in any bit, so a constant-stepsize run factors exactly once and a
-sweep's output depends only on (p, q, t, s, K).  Nothing here holds factor
-state.
+Cholesky factor for a general K, a tridiagonal LDLᵀ (``dpttrf``/``dpttrs``),
+O(n), for forward differences.  The coupling keeps its last factor and
+refactors whenever t*s changes in any bit, so a constant-stepsize run
+factors exactly once and a sweep's output depends only on (p, q, t, s, K).
+Nothing here holds factor state.
 
 Divergence is detected in one place, :func:`solve`, once per sweep and on
 scalars: the step residual and the objective.  The sweep itself scans no

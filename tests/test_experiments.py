@@ -79,6 +79,13 @@ class TestGenerators:
         with pytest.raises(ValueError, match="finite"):
             entry(bad)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_tv_amplitude_rejected(self, bad):
+        # Named before the generator draws anything; a NaN amplitude used
+        # to reach rng.uniform and raise OverflowError.
+        with pytest.raises(ValueError, match="amplitude"):
+            gen_tv(0, n=10, amplitude=bad)
+
     def test_tv_validation(self):
         with pytest.raises(ValueError):
             gen_tv(0, n=1)
@@ -164,6 +171,25 @@ class TestObjectives:
         # 0.5*||x - y||^2 + 3*||Dx||_1 at x = (1, 0, 0).
         assert prob.objective(np.array([1.0, 0.0, 0.0])) == \
             pytest.approx(0.5 + 3.0)
+
+    def test_objectives_match_plain_numpy_bitwise(self):
+        # The objectives reduce with np.add.reduce; the bits must be those
+        # of the np.sum / ndarray.sum expressions they replace.
+        rng = np.random.default_rng(17)
+        a, b = rng.standard_normal((200, 100)), rng.standard_normal(200)
+        noisy = rng.standard_normal(500)
+        lad = make_lad_problem(a, b, 0.7)
+        tv, _ = make_tv_problem(noisy, 0.3)
+        for scale in (1e-8, 1.0, 1e8):
+            x = rng.standard_normal(100) * scale
+            want = float(np.abs(a @ x - b).sum() + 0.7 * np.abs(x).sum())
+            assert np.float64(lad.objective(x)).view(np.int64) == \
+                np.float64(want).view(np.int64)
+            z = rng.standard_normal(500) * scale
+            want = float(0.5 * np.sum((z - noisy) ** 2)
+                         + 0.3 * np.abs(z[1:] - z[:-1]).sum())
+            assert np.float64(tv.objective(z)).view(np.int64) == \
+                np.float64(want).view(np.int64)
 
     def test_tv_constant_signal_solved_exactly(self):
         prob, _ = make_tv_problem(np.full(30, 0.7), 1.0)

@@ -307,16 +307,27 @@ class TestDifferenceMap:
             DifferenceMap(5.5)
 
     def test_schur_factor_matches_dense(self):
+        # n = 2 leaves a single row, where the LDLT factor has no
+        # off-diagonal; ts spans twenty-four decades.
         rng = np.random.default_rng(43)
-        d = DifferenceMap(9)
-        for ts in (1e-6, 0.3, 1.0, 1e8):
-            fac = d.schur(ts)
-            assert fac.ts == ts
-            rhs = rng.standard_normal(8)
-            want = np.linalg.solve(np.eye(8) + ts * d.mat @ d.mat.T, rhs)
-            np.testing.assert_allclose(fac.solve(rhs), want,
-                                       rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        for n in (9, 2):
+            d = DifferenceMap(n)
+            for ts in (1e-6, 0.3, 1.0, 1e8, 1e-12, 1e12):
+                fac = d.schur(ts)
+                assert fac.ts == ts
+                rhs = rng.standard_normal(n - 1)
+                want = np.linalg.solve(np.eye(n - 1) + ts * d.mat @ d.mat.T, rhs)
+                np.testing.assert_allclose(fac.solve(rhs), want,
+                                           rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
     def test_schur_factor_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            DifferenceMap(5).schur(np.inf)
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                DifferenceMap(5).schur(bad)
+
+    @pytest.mark.parametrize("ts, pivot", [(-1.0, 0), (-0.3, 2)])
+    def test_schur_not_positive_definite_reports_pivot(self, ts, pivot):
+        # The first leading minor of I + ts*DD' that is not positive.
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            DifferenceMap(5).schur(ts)
+        assert info.value.pivot == pivot

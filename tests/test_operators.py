@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from drsplit.operators import (
     box_dual_prox,
@@ -50,6 +53,11 @@ class TestProxL1:
         with pytest.raises(ValueError):
             prox_l1(np.ones(2), -0.1)
 
+    def test_nan_threshold_rejected(self):
+        # "tau < 0" let NaN through, and the output came back all NaN.
+        with pytest.raises(ValueError, match="threshold"):
+            prox_l1(np.ones(2), np.nan)
+
     def test_firm_nonexpansiveness(self):
         # <Jx - Jy, x - y> >= ||Jx - Jy||^2 for any resolvent.
         rng = np.random.default_rng(5151)
@@ -87,6 +95,10 @@ class TestQuadraticFidelity:
         assert prox_quadratic_fidelity(v, 1e12, d)[0] == pytest.approx(5.0, rel=1e-9)
         np.testing.assert_array_equal(prox_quadratic_fidelity(v, 0.0, d), v)
 
+    def test_nan_step_rejected(self):
+        with pytest.raises(ValueError, match="stepsize"):
+            prox_quadratic_fidelity(np.ones(2), np.nan, np.ones(2))
+
 
 class TestBoxDual:
     def test_clip(self):
@@ -114,6 +126,10 @@ class TestBoxDual:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             prox_box_dual(np.zeros(2), -1.0)
+
+    def test_nan_bound_rejected(self):
+        with pytest.raises(ValueError, match="bound"):
+            prox_box_dual(np.ones(2), np.nan)
 
 
 class TestShiftedL1Conj:
@@ -154,6 +170,10 @@ class TestShiftedL1Conj:
         np.testing.assert_array_equal(
             prox_shifted_l1_conj(np.array([-1e300, 1e300]), 2.0, np.ones(2)),
             [-1.0, 1.0])
+
+    def test_nan_step_rejected(self):
+        with pytest.raises(ValueError, match="stepsize"):
+            prox_shifted_l1_conj(np.ones(2), np.nan, np.ones(2))
 
 
 # NaN of both signs, signed zeros, infinities, huge values, and neighbours
@@ -316,3 +336,62 @@ class TestFactories:
                 dj = pm.fn(x, step) - pm.fn(y, step)
                 slack = np.dot(dj, x - y) - np.dot(dj, dj)
                 assert slack >= -1e-10, pm.tag
+
+    @pytest.mark.parametrize("pm", [scaled_l1_prox(1.0), shifted_l1_conjugate_prox(np.ones(2)),
+                                    quadratic_fidelity_prox(np.ones(2))],
+                             ids=["l1", "l1-shift-conj", "quad-fidelity"])
+    def test_nan_step_rejected(self, pm):
+        with pytest.raises(ValueError, match="stepsize"):
+            pm(np.ones(2), np.nan)
+
+
+# Each factory against the public prox it must equal: the parameter is the
+# weight, the shift, the data or the bound.
+FACTORY_AND_PUBLIC = {
+    "l1": (scaled_l1_prox, lambda v, step, w: prox_l1(v, step * w), False),
+    "l1-shift-conj": (shifted_l1_conjugate_prox, prox_shifted_l1_conj, True),
+    "quad-fidelity": (quadratic_fidelity_prox, prox_quadratic_fidelity, True),
+    "box-dual": (box_dual_prox, lambda v, step, bound: prox_box_dual(v, bound), False),
+}
+
+
+def draw_param(data, vector, n, elements):
+    if vector:
+        return data.draw(arrays(np.float64, n, elements=elements))
+    return data.draw(st.floats(1e-6, 1e6))
+
+
+@pytest.mark.parametrize("tag", sorted(FACTORY_AND_PUBLIC))
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_factory_equals_public_prox_bitwise(tag, data):
+    # Any float64 entry, NaN, +-inf, +-0.0 and subnormals included.
+    factory, public, vector = FACTORY_AND_PUBLIC[tag]
+    n = data.draw(st.integers(1, 8))
+    v = data.draw(arrays(np.float64, n, elements=st.floats(width=64)))
+    step = data.draw(st.floats(0.0, 1e6))
+    param = draw_param(data, vector, n, st.floats(width=64))
+    pm = factory(param)
+    assert pm.tag == tag
+    with np.errstate(all="ignore"):
+        got, want = pm(v, step), public(v, step, param)
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("tag", sorted(FACTORY_AND_PUBLIC))
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_factory_prox_firmly_nonexpansive(tag, data):
+    # <Jx - Jy, x - y> >= ||Jx - Jy||^2, up to rounding in the entries of
+    # size scale that J computes.
+    factory, _, vector = FACTORY_AND_PUBLIC[tag]
+    n = data.draw(st.integers(1, 8))
+    entries = st.floats(-100.0, 100.0)
+    x = data.draw(arrays(np.float64, n, elements=entries))
+    y = data.draw(arrays(np.float64, n, elements=entries))
+    step = data.draw(st.floats(0.0, 100.0))
+    param = draw_param(data, vector, n, entries)
+    pm = factory(param)
+    dj = pm(x, step) - pm(y, step)
+    scale = 1.0 + max(np.abs(x).max(), np.abs(y).max(), step * np.abs(param).max())
+    assert np.dot(dj, x - y) - np.dot(dj, dj) >= -1e-12 * scale ** 2

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve
 
-from drsplit import linalg
+from drsplit import linalg, pddr
 from drsplit.adaptive import AdaptiveConfig, ConstantPolicy, TAdaptivePolicy, TsAdaptivePolicy
 from drsplit.experiments import gen_lad, gen_tv, make_tv_problem
 from drsplit.linalg import DifferenceMap, LinearMap
@@ -615,6 +615,35 @@ class TestFreeze:
         _, _, trace = solve(lad_like(5), ConstantPolicy(1, 2), max_iter=5, tol=0.0)
         assert all(type(r.t) is float and type(r.s) is float for r in trace.rows)
         assert {(r.t, r.s) for r in trace.rows} == {(1.0, 2.0)}
+
+
+class TestLayerHooks:
+    # The benchmark's laps and tracer patch these module attributes; a solve
+    # that stopped calling through them would leave them blind, silently.
+    @pytest.mark.parametrize("structured", [False, True], ids=["dense", "difference"])
+    def test_solve_calls_through_module_attributes(self, monkeypatch, structured):
+        prob = gen_tv(0, n=40)[1] if structured else lad_like(3)
+        calls = {"pd_dr_step": 0, "block_resolvent": 0, "spd_solve": 0}
+
+        def count(module, name, check=lambda args: None):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls[name] += 1
+                check(args)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        def coupling_fifth(args):
+            assert len(args) == 5 and args[4] is prob.coupling
+
+        count(pddr, "pd_dr_step")
+        count(pddr, "block_resolvent", coupling_fifth)
+        count(linalg, "spd_solve")
+        solve(prob, TsAdaptivePolicy(), max_iter=25, tol=0.0)
+        assert calls == {"pd_dr_step": 25, "block_resolvent": 25,
+                         "spd_solve": 0 if structured else 25}
 
 
 class TestGoverningForm:
