@@ -8,26 +8,26 @@ and the resulting multiplicative update is capped:
 
     t_next = min(((1 - w_k) + w_k * clamp(ratio)) * t, cap)
 
-With the default halving relaxation the weights are summable, so the
-stepsize sequence converges, and from a step that depends only on the upper
-safeguards the update is the identity, bit for bit: once w_k = 2**-k is at
-most 2**-54 and 2**-53 / hi, the multiplier rounds to exactly 1.0 for every
+Both stepsizes use the halving relaxation w_k = 2**-k
+(:func:`default_relaxation`).  Its weights are summable, so the stepsize
+sequence converges, and from a step that depends only on the upper
+safeguards the update is the identity, bit for bit: once w_k is at most
+2**-54 and 2**-53 / hi, the multiplier rounds to exactly 1.0 for every
 clamped ratio (k = 67 for the default hi = 1e4).  The metric is constant from there
 on, so the iteration is a fixed-metric degenerate proximal point method.
 
 A policy is any object with ``initial(t0, s0) -> (t, s)`` and
-``update(t, s, x, p, y, q, k) -> (t, s)``.  It may also carry a read-only
-``frozen_from``: the first step k from which ``update`` returns its (t, s)
-unchanged, bit for bit, for every input reachable from ``initial``; or
-``None`` if it cannot tell.  :func:`drsplit.pddr.solve` stops calling
-``update`` at that step.  The adaptive policies report it when their
-schedules are :func:`default_relaxation` itself, and ``None`` for any other
-schedule; ``ConstantPolicy`` reports 0.
+``update(t, s, x, p, y, q, k) -> (t, s)``; a different relaxation is a
+different policy.  A policy may also carry a read-only ``frozen_from``: the
+first step k from which ``update`` returns its (t, s) unchanged, bit for
+bit, for every input reachable from ``initial``; or ``None`` if it cannot
+tell.  :func:`drsplit.pddr.solve` stops calling ``update`` at that step.
+The adaptive policies report the halving freeze step of their upper
+safeguards; ``ConstantPolicy`` reports 0.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -70,19 +70,17 @@ def _halving_freeze_step(hi: float) -> int:
 
 @dataclass(frozen=True)
 class AdaptiveConfig:
-    """Safeguards, relaxation schedules, and the hard cap.
+    """Safeguards and the hard cap.
 
     ``lo_*``/``hi_*`` bound the raw stepsize ratio before blending, one pair
-    per stepsize; ``relax_*`` map the iteration index to the blending weight;
-    ``cap`` bounds the stepsizes themselves after the update.
+    per stepsize; ``cap`` bounds the stepsizes themselves after the update.
+    The blending weight is always :func:`default_relaxation`.
     """
 
     lo_t: float = 1e-4
     hi_t: float = 1e4
     lo_s: float = 1e-4
     hi_s: float = 1e4
-    relax_t: Callable[[int], float] = default_relaxation
-    relax_s: Callable[[int], float] = default_relaxation
     cap: float = 1e4
 
     def __post_init__(self):
@@ -92,8 +90,6 @@ class AdaptiveConfig:
             raise ValueError(f"need 0 < lo_s < hi_s < inf, got {self.lo_s}, {self.hi_s}")
         if not 0 < self.cap < math.inf:
             raise ValueError(f"cap must be finite and positive, got {self.cap}")
-        if self.relax_t(0) != 1.0 or self.relax_s(0) != 1.0:
-            raise ValueError("relaxation schedules must start at 1")
 
 
 def _one_side(step: float, point, shadow, weight: float, lo: float, hi: float,
@@ -134,7 +130,7 @@ def adaptive_update(t: float, s: float, x, p, y, q, k: int,
     y, q : array_like
         Dual-side prox output and its shadow point.
     k : int
-        Iteration index feeding the relaxation schedules.
+        Iteration index feeding the relaxation weight.
 
     Returns
     -------
@@ -150,8 +146,9 @@ def adaptive_update(t: float, s: float, x, p, y, q, k: int,
     check_steps(t, s)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    t_next = _one_side(t, x, p, config.relax_t(k), config.lo_t, config.hi_t, config.cap)
-    s_next = _one_side(s, y, q, config.relax_s(k), config.lo_s, config.hi_s, config.cap)
+    w = default_relaxation(k)
+    t_next = _one_side(t, x, p, w, config.lo_t, config.hi_t, config.cap)
+    s_next = _one_side(s, y, q, w, config.lo_s, config.hi_s, config.cap)
     return float(t_next), float(s_next)
 
 
@@ -169,9 +166,7 @@ class ConstantPolicy:
     frozen_from = 0
 
     def __post_init__(self):
-        if not (0 < self.t < math.inf and 0 < self.s < math.inf):
-            raise ValueError(
-                f"stepsizes must be finite and positive, got {self.t}, {self.s}")
+        check_steps(self.t, self.s)
         object.__setattr__(self, "t", float(self.t))
         object.__setattr__(self, "s", float(self.s))
 
@@ -189,13 +184,10 @@ class TAdaptivePolicy:
     config: AdaptiveConfig = field(default_factory=AdaptiveConfig)
 
     @property
-    def frozen_from(self) -> int | None:
-        """:func:`_halving_freeze_step` of ``hi_t`` under the default primal
-        schedule (s follows t, so ``relax_s`` plays no part), else None."""
-        cfg = self.config
-        if cfg.relax_t is default_relaxation:
-            return _halving_freeze_step(cfg.hi_t)
-        return None
+    def frozen_from(self) -> int:
+        """:func:`_halving_freeze_step` of ``hi_t`` (s follows t, so
+        ``hi_s`` plays no part)."""
+        return _halving_freeze_step(self.config.hi_t)
 
     def initial(self, t0: float, s0: float) -> tuple[float, float]:
         t = min(t0, self.config.cap)
@@ -203,7 +195,7 @@ class TAdaptivePolicy:
 
     def update(self, t, s, x, p, y, q, k) -> tuple[float, float]:
         cfg = self.config
-        t_next = _one_side(t, np.asarray(x, dtype=float), p, cfg.relax_t(k),
+        t_next = _one_side(t, np.asarray(x, dtype=float), p, default_relaxation(k),
                            cfg.lo_t, cfg.hi_t, cfg.cap)
         return float(t_next), float(t_next)
 
@@ -215,13 +207,10 @@ class TsAdaptivePolicy:
     config: AdaptiveConfig = field(default_factory=AdaptiveConfig)
 
     @property
-    def frozen_from(self) -> int | None:
-        """The later :func:`_halving_freeze_step` of the two sides when both
-        schedules are :func:`default_relaxation`, else None."""
+    def frozen_from(self) -> int:
+        """The later :func:`_halving_freeze_step` of the two sides."""
         cfg = self.config
-        if cfg.relax_t is default_relaxation and cfg.relax_s is default_relaxation:
-            return max(_halving_freeze_step(cfg.hi_t), _halving_freeze_step(cfg.hi_s))
-        return None
+        return max(_halving_freeze_step(cfg.hi_t), _halving_freeze_step(cfg.hi_s))
 
     def initial(self, t0: float, s0: float) -> tuple[float, float]:
         return min(t0, self.config.cap), min(s0, self.config.cap)

@@ -34,10 +34,12 @@ _NUMERICAL_ERRORS = (
     FloatingPointError,
 )
 
+_POLICY_NAMES = ("constant", "t-adaptive", "ts-adaptive")
+
 
 def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", default="ts-adaptive",
-                        choices=["constant", "t-adaptive", "ts-adaptive"],
+                        choices=_POLICY_NAMES,
                         help="stepsize policy (constant uses --t0/--s0 throughout)")
     parser.add_argument("--t0", type=float, default=1.0, help="initial primal stepsize")
     parser.add_argument("--s0", type=float, default=1.0, help="initial dual stepsize")
@@ -56,24 +58,16 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="instance seed")
 
 
-def _build_policy(args: argparse.Namespace):
+def _build_policy(name: str, args: argparse.Namespace):
+    # The config is built, and so validated, whichever policy is named.
     config = AdaptiveConfig(lo_t=args.safeguard_lo, hi_t=args.safeguard_hi,
                             lo_s=args.safeguard_lo, hi_s=args.safeguard_hi,
                             cap=args.cap)
-    if args.policy == "constant":
+    if name == "constant":
         return ConstantPolicy(args.t0, args.s0)
-    if args.policy == "t-adaptive":
+    if name == "t-adaptive":
         return TAdaptivePolicy(config)
     return TsAdaptivePolicy(config)
-
-
-def _named_policy(name: str, args: argparse.Namespace):
-    saved = args.policy
-    args.policy = name
-    try:
-        return _build_policy(args)
-    finally:
-        args.policy = saved
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,7 +146,7 @@ def _echo_config(args: argparse.Namespace) -> None:
 
 
 def _solve_and_write(prob, args) -> None:
-    policy = _build_policy(args)
+    policy = _build_policy(args.policy, args)
     x, y, trace = pddr.solve(prob, policy, max_iter=args.max_iter, tol=args.tol,
                              t0=args.t0, s0=args.s0)
     report.write_trace_csv(trace, args.out)
@@ -197,11 +191,10 @@ def _cmd_compare(args) -> int:
     names = [p.strip() for p in args.policies.split(",") if p.strip()]
     if not names:
         raise ValueError("no policies given")
-    known = {"constant", "t-adaptive", "ts-adaptive"}
-    unknown = sorted(set(names) - known)
+    unknown = sorted(set(names) - set(_POLICY_NAMES))
     if unknown:
         raise ValueError(f"unknown policies: {', '.join(unknown)}")
-    policies = [_named_policy(name, args) for name in names]
+    policies = [_build_policy(name, args) for name in names]
     if args.grid > 0:
         grid = experiments.log_grid(args.grid_min, args.grid_max, args.grid)
         for t in grid:

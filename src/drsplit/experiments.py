@@ -187,13 +187,10 @@ def log_grid(lo: float, hi: float, num: int) -> np.ndarray:
 
 
 def run_comparison(prob: PdProblem, policies: Sequence, *, max_iter: int,
-                   tol: float = 0.0, t0: float = 1.0, s0: float = 1.0,
-                   p0=None, q0=None) -> list[SolveTrace]:
+                   tol: float = 0.0, t0: float = 1.0, s0: float = 1.0) -> list[SolveTrace]:
     """Solve the same problem once per policy from identical starts."""
     traces = []
     for policy in policies:
-        _, _, trace = pddr.solve(
-            prob, policy, max_iter=max_iter, tol=tol, t0=t0, s0=s0, p0=p0, q0=q0
-        )
+        _, _, trace = pddr.solve(prob, policy, max_iter=max_iter, tol=tol, t0=t0, s0=s0)
         traces.append(trace)
     return traces

@@ -342,10 +342,11 @@ class DifferenceMap:
     """Forward differences ``(Dx)_i = x_{i+1} - x_i`` as an (n-1) x n operator.
 
     Products work by slicing, in O(n); for finite input they equal the dense
-    products bit for bit.  ``DD'`` is tridiagonal (2 on the diagonal, -1
-    beside it), so the Schur complement ``I + ts*DD'`` is factored and solved
-    as a tridiagonal LDLᵀ (LAPACK ``dpttrf``/``dpttrs``), also in O(n).  The
-    dense matrix is built only when ``mat`` is read.
+    products in value, and bit for bit except for the sign of a zero result.
+    ``DD'`` is tridiagonal (2 on the diagonal, -1 beside it), so the Schur
+    complement ``I + ts*DD'`` is factored and solved as a tridiagonal LDLᵀ
+    (LAPACK ``dpttrf``/``dpttrs``), also in O(n).  The dense matrix is built
+    only when ``mat`` is read.
     """
 
     def __init__(self, n: int):

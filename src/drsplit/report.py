@@ -97,15 +97,14 @@ def _log_tick_label(exponent: float) -> str:
 
 
 class _Panel:
-    """One framed plot area inside the SVG, with linear or log axes."""
+    """One framed plot area inside the SVG: linear x axis, linear or log y."""
 
     def __init__(self, y_offset: float, title: str, x_label: str, y_label: str,
-                 x_log: bool = False, y_log: bool = False):
+                 y_log: bool = False):
         self.y0 = y_offset
         self.title = title
         self.x_label = x_label
         self.y_label = y_label
-        self.x_log = x_log
         self.y_log = y_log
         self.series: list[tuple[np.ndarray, np.ndarray, str, str, str]] = []
 
@@ -119,13 +118,9 @@ class _Panel:
 
     def _transform(self, xs, ys):
         keep = np.isfinite(xs) & np.isfinite(ys)
-        if self.x_log:
-            keep &= xs > 0
         if self.y_log:
             keep &= ys > 0
         xs, ys = xs[keep], ys[keep]
-        if self.x_log:
-            xs = np.log10(xs)
         if self.y_log:
             ys = np.log10(ys)
         return xs, ys
@@ -196,7 +191,7 @@ class _Panel:
             xv = xlo + frac * (xhi - xlo)
             yv = ylo + frac * (yhi - ylo)
             x_pix, y_pix = px(xv), py(yv)
-            x_lbl = _log_tick_label(xv) if self.x_log else _tick_label(xv)
+            x_lbl = _tick_label(xv)
             y_lbl = _log_tick_label(yv) if self.y_log else _tick_label(yv)
             parts.append(
                 f'<line x1="{_fmt(x_pix)}" y1="{_fmt(top + height)}" x2="{_fmt(x_pix)}" '

@@ -156,6 +156,41 @@ class TestCompare:
         assert "usage:" in stderr
 
 
+class TestConfigEcho:
+    SOLVER_KEYS = {"cap", "command", "max_iter", "n", "out", "plot", "policy",
+                   "reg_weight", "s0", "safeguard_hi", "safeguard_lo", "seed", "t0", "tol"}
+
+    @pytest.mark.parametrize("argv, keys", [
+        (["lad", "--m", "20", "--n", "10", "--max-iter", "2", "--out", "{tmp}/t.csv"],
+         SOLVER_KEYS | {"m"}),
+        (["tv", "--n", "20", "--max-iter", "2", "--out", "{tmp}/t.csv"],
+         SOLVER_KEYS | {"noise"}),
+        (["spectrum", "--half-dim", "2", "--grid", "2", "--out", "{tmp}/scan.csv"],
+         {"command", "grid", "grid_max", "grid_min", "half_dim", "out", "plot", "seed"}),
+        (["compare", "--m", "20", "--n", "10", "--max-iter", "2", "--out-dir", "{tmp}/runs"],
+         SOLVER_KEYS - {"out"} | {"grid", "grid_max", "grid_min", "m", "noise", "out_dir",
+                                  "policies", "problem"}),
+    ], ids=["lad", "tv", "spectrum", "compare"])
+    def test_echo_has_exactly_these_keys(self, tmp_path, capsys, argv, keys):
+        code, _, stderr = run([a.format(tmp=tmp_path) for a in argv], capsys)
+        assert code == 0
+        line = next(l for l in stderr.splitlines()
+                    if l.startswith("resolved config: "))
+        assert set(json.loads(line.removeprefix("resolved config: "))) == keys
+
+    @pytest.mark.parametrize("argv", [
+        ["lad", "--m", "20", "--n", "10", "--policy", "constant", "--out", "{tmp}/t.csv"],
+        ["compare", "--m", "20", "--n", "10", "--policies", "constant",
+         "--out-dir", "{tmp}/runs"],
+    ], ids=["lad", "compare"])
+    def test_constant_policy_still_checks_safeguards(self, tmp_path, capsys, argv):
+        # Safeguards a constant policy never reads are still usage errors.
+        code, _, stderr = run([a.format(tmp=tmp_path) for a in argv]
+                              + ["--max-iter", "2", "--safeguard-hi", "inf"], capsys)
+        assert code == 2
+        assert "invalid configuration" in stderr
+
+
 class TestExitCodes:
     def test_bad_dimensions_exit_2(self, tmp_path, capsys):
         code, _, stderr = run(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve
@@ -277,6 +279,24 @@ class TestDifferenceMap:
                                           dense.matvec(x).view(np.int64))
             np.testing.assert_array_equal(d.rmatvec(y).view(np.int64),
                                           dense.rmatvec(y).view(np.int64))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_products_at_signed_zeros(self, n):
+        # Equal in value; bitwise equal except for the sign of a zero entry.
+        d = DifferenceMap(n)
+        dense = LinearMap(d.mat)
+
+        def check(got, want):
+            np.testing.assert_array_equal(got, want)
+            nonzero = want != 0.0
+            np.testing.assert_array_equal(got[nonzero].view(np.int64),
+                                          want[nonzero].view(np.int64))
+
+        values = (0.0, -0.0, 1.5)
+        for x in itertools.product(values, repeat=n):
+            check(d.matvec(np.array(x)), dense.matvec(np.array(x)))
+        for y in itertools.product(values, repeat=n - 1):
+            check(d.rmatvec(np.array(y)), dense.rmatvec(np.array(y)))
 
     def test_shape_without_dense_matrix(self):
         d = DifferenceMap(7)

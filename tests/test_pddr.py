@@ -601,16 +601,6 @@ class TestFreeze:
         _, prob = gen_tv(0, reg_weight=weight)
         assert_same_solve(prob, TsAdaptivePolicy(AdaptiveConfig(cap=1e4)), 1000)
 
-    @pytest.mark.parametrize("make", [TsAdaptivePolicy, TAdaptivePolicy],
-                             ids=["ts-adaptive", "t-adaptive"])
-    def test_custom_schedule_updates_every_step(self, make):
-        # A schedule equal to the default in value but not in identity is
-        # never skipped.
-        policy = CountingPolicy(make(AdaptiveConfig(relax_t=lambda k: 2.0 ** -k)))
-        assert policy.frozen_from is None
-        solve(lad_like(5), policy, max_iter=150, tol=0.0)
-        assert policy.calls == 150
-
     def test_constant_rows_carry_floats(self):
         _, _, trace = solve(lad_like(5), ConstantPolicy(1, 2), max_iter=5, tol=0.0)
         assert all(type(r.t) is float and type(r.s) is float for r in trace.rows)
