@@ -20,7 +20,6 @@ from .adaptive import (
 )
 from .experiments import gen_lad, gen_monotone_pair, gen_tv, run_comparison
 from .linalg import LinearMap
-from .operators import ProxMap
 from .pddr import PdProblem, block_resolvent, pd_dr_step, solve
 from .ppa_core import PreconditionedResolvent, proximal_point
 from .spectral import LinearMonotonePair, disc_report, radius_scan
@@ -34,7 +33,6 @@ __all__ = [
     "LinearMonotonePair",
     "PdProblem",
     "PreconditionedResolvent",
-    "ProxMap",
     "TAdaptivePolicy",
     "TsAdaptivePolicy",
     "adaptive_update",

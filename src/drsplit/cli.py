@@ -37,10 +37,13 @@ _NUMERICAL_ERRORS = (
 _POLICY_NAMES = ("constant", "t-adaptive", "ts-adaptive")
 
 
-def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
+def _add_policy_choice(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--policy", default="ts-adaptive",
                         choices=_POLICY_NAMES,
                         help="stepsize policy (constant uses --t0/--s0 throughout)")
+
+
+def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--t0", type=float, default=1.0, help="initial primal stepsize")
     parser.add_argument("--s0", type=float, default=1.0, help="initial dual stepsize")
     parser.add_argument("--safeguard-lo", type=float, default=1e-4,
@@ -82,6 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lad.add_argument("--n", type=int, default=100, help="number of columns")
     lad.add_argument("--lambda", dest="reg_weight", type=float, default=1.0,
                      help="regularization weight")
+    _add_policy_choice(lad)
     _add_policy_flags(lad)
     _add_solver_flags(lad)
     lad.add_argument("--out", required=True, help="trace CSV path")
@@ -94,6 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="regularization weight")
     tv.add_argument("--noise", type=float, default=0.05,
                     help="noise standard deviation")
+    _add_policy_choice(tv)
     _add_policy_flags(tv)
     _add_solver_flags(tv)
     tv.add_argument("--out", required=True, help="trace CSV path")
@@ -184,6 +189,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.grid < 0:
+        raise ValueError(f"grid size must be nonnegative, got {args.grid}")
     if args.problem == "lad":
         _, prob = experiments.gen_lad(args.seed, args.m, args.n, args.reg_weight)
     else:

@@ -25,7 +25,6 @@ from .spectral import LinearMonotonePair
 __all__ = [
     "LadInstance",
     "TvInstance",
-    "forward_difference_map",
     "gen_lad",
     "gen_monotone_pair",
     "gen_tv",
@@ -97,18 +96,13 @@ def gen_lad(seed: int, m: int = 200, n: int = 100,
     return inst, make_lad_problem(design, observations, reg_weight)
 
 
-def forward_difference_map(n: int) -> DifferenceMap:
-    """Forward differences as an (n-1) x n structured operator."""
-    return DifferenceMap(n)
-
-
 def make_tv_problem(noisy, reg_weight: float) -> tuple[PdProblem, DifferenceMap]:
     """Wire ``min_x 0.5 ||x - noisy||^2 + reg_weight * ||Dx||_1``."""
     y = np.asarray(noisy, dtype=float)
     if not 0 < reg_weight < math.inf:
         raise ValueError(
             f"regularization weight must be finite and positive, got {reg_weight}")
-    diff = forward_difference_map(y.size)
+    diff = DifferenceMap(y.size)
 
     def objective(x):
         return float(0.5 * np.add.reduce((x - y) ** 2)

@@ -315,24 +315,22 @@ class LinearMap:
             raise ValueError(f"dimension mismatch: expected {self.rows}, got {v.shape}")
         return self.mat.T @ v
 
-    # Gram matrices are cached: the solver refactors I + t*s*K'K many times
-    # while stepsizes move, and the product itself never changes.
+    # Cached: the solver refactors I + ts*gram many times while stepsizes
+    # move, and the product itself never changes.
     @cached_property
-    def gram_cols(self) -> np.ndarray:
-        """K.T @ K, cached."""
+    def gram(self) -> np.ndarray:
+        """The Gram matrix of the side :meth:`schur` factors, cached:
+        ``KK'`` when rows < cols, ``K'K`` otherwise."""
+        if self.rows < self.cols:
+            return self.mat @ self.mat.T
         return self.mat.T @ self.mat
-
-    @cached_property
-    def gram_rows(self) -> np.ndarray:
-        """K @ K.T, cached."""
-        return self.mat @ self.mat.T
 
     def schur(self, ts: float) -> Schur:
         """Dense Cholesky factor of ``I + ts*KK'`` (rows < cols) or
         ``I + ts*K'K`` (otherwise); the last one is kept while ``ts`` is
         bitwise the same."""
         if self._schur is None or self._schur.ts != ts:
-            gram = self.gram_rows if self.rows < self.cols else self.gram_cols
+            gram = self.gram
             factor = spd_factor(np.eye(gram.shape[0]) + ts * gram)
             self._schur = Schur(ts, lambda rhs: spd_solve(factor, rhs))
         return self._schur

@@ -4,16 +4,18 @@ Every prox here is firmly nonexpansive in the Euclidean metric for any fixed
 nonnegative stepsize, and evaluating at stepsize zero returns the input (the
 continuous limit).  Stepsizes are passed per call so an adaptive controller
 can change them between iterations without rebuilding operator objects.
+
+A factory (``scaled_l1_prox`` and the rest) fixes a prox's weight, shift,
+data or bound and returns it as a plain callable ``prox(v, step) -> array``,
+the form :class:`drsplit.pddr.PdProblem` takes for f and g*.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "ProxMap",
     "box_dual_prox",
     "moreau_dual_resolvent",
     "prox_box_dual",
@@ -26,25 +28,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ProxMap:
-    """Single-valued resolvent evaluator taking the stepsize per call.
-
-    ``fn(v, step)`` must return an array of the same shape as ``v`` and be
-    firmly nonexpansive at every fixed ``step >= 0``.
-    """
-
-    fn: Callable[[np.ndarray, float], np.ndarray]
-    tag: str = ""
-
-    def __call__(self, v, step: float) -> np.ndarray:
-        return np.asarray(self.fn(v, step), dtype=float)
-
-
 # Each prox has one arithmetic kernel.  The public ``prox_*`` function
-# validates its arguments and calls it.  The ProxMap a factory builds checks
-# only the stepsize: the factory checked its weight or bound, and the solver
-# passes points of the right shape.
+# validates its arguments and calls it.  The callable a factory returns
+# checks only the stepsize: the factory checked its weight or bound, and the
+# solver passes float64 points of the right shape, for which every kernel
+# returns a float64 array.
 
 
 def _soft_threshold(v, tau):
@@ -141,10 +129,10 @@ def moreau_dual_resolvent(x, sigma_diag, primal_resolvent) -> np.ndarray:
     return v - sig * np.asarray(primal_resolvent(v / sig), dtype=float)
 
 
-# -- ProxMap factories wired by the experiment generators ------------------
+# -- Prox factories wired by the experiment generators ---------------------
 
 
-def scaled_l1_prox(weight: float) -> ProxMap:
+def scaled_l1_prox(weight: float) -> Callable[[np.ndarray, float], np.ndarray]:
     """Prox map of f = weight * ||.||_1; the call stepsize multiplies weight."""
     if not 0 < weight < math.inf:
         raise ValueError(f"weight must be finite and positive, got {weight}")
@@ -153,10 +141,10 @@ def scaled_l1_prox(weight: float) -> ProxMap:
         _check_step(step)
         return _soft_threshold(v, step * weight)
 
-    return ProxMap(prox, tag="l1")
+    return prox
 
 
-def shifted_l1_conjugate_prox(shift) -> ProxMap:
+def shifted_l1_conjugate_prox(shift) -> Callable[[np.ndarray, float], np.ndarray]:
     """Prox map of the conjugate of g(u) = ||u - shift||_1."""
     b = np.asarray(shift, dtype=float)
 
@@ -164,10 +152,10 @@ def shifted_l1_conjugate_prox(shift) -> ProxMap:
         _check_step(step)
         return _shifted_l1_conj(v, step, b)
 
-    return ProxMap(prox, tag="l1-shift-conj")
+    return prox
 
 
-def quadratic_fidelity_prox(data) -> ProxMap:
+def quadratic_fidelity_prox(data) -> Callable[[np.ndarray, float], np.ndarray]:
     """Prox map of f = 0.5 * ||. - data||^2."""
     d = np.asarray(data, dtype=float)
 
@@ -175,11 +163,11 @@ def quadratic_fidelity_prox(data) -> ProxMap:
         _check_step(step)
         return _quadratic_fidelity(v, step, d)
 
-    return ProxMap(prox, tag="quad-fidelity")
+    return prox
 
 
-def box_dual_prox(bound: float) -> ProxMap:
+def box_dual_prox(bound: float) -> Callable[[np.ndarray, float], np.ndarray]:
     """Prox map of the conjugate of bound * ||.||_1 (stepsize-independent)."""
     if not 0 < bound < math.inf:
         raise ValueError(f"bound must be finite and positive, got {bound}")
-    return ProxMap(lambda v, step: _clamp(v, bound), tag="box-dual")
+    return lambda v, step: _clamp(v, bound)

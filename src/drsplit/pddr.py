@@ -9,7 +9,8 @@ The solver alternates two proxes with a coupled linear correction step.  For
     p <- p + u - x
     q <- q + v - y
 
-and the candidate solution is the shadow pair (x, y).  The linear solve goes
+and the candidate solution is the shadow pair (x, y).  The proxes are plain
+callables ``(point, step) -> array``, called as given.  The linear solve goes
 through the Schur complement, and the coupling operator alone owns it: its
 ``schur(t*s)`` (see :class:`~drsplit.linalg.Coupling`) returns a dense
 Cholesky factor for a general K, a tridiagonal LDLᵀ (``dpttrf``/``dpttrs``),
@@ -36,7 +37,6 @@ import numpy as np
 
 from . import linalg
 from .linalg import Coupling, check_steps
-from .operators import ProxMap
 from .ppa_core import IterationDiverged, PreconditionedResolvent
 
 __all__ = [
@@ -60,13 +60,14 @@ __all__ = [
 class PdProblem:
     """Problem data for ``min_x f(x) + g(Kx)``.
 
-    ``f_prox`` evaluates prox_{t f}, ``gstar_prox`` evaluates prox_{s g*}
-    (conjugate side), ``coupling`` is K with forward and adjoint application,
+    ``f_prox(p, t)`` evaluates prox_{t f} and ``gstar_prox(q, s)`` prox_{s g*}
+    (conjugate side), each a plain callable returning a float64 array shaped
+    like its point; ``coupling`` is K with forward and adjoint application,
     and ``objective`` evaluates the primal objective at a candidate x.
     """
 
-    f_prox: ProxMap
-    gstar_prox: ProxMap
+    f_prox: Callable[[np.ndarray, float], np.ndarray]
+    gstar_prox: Callable[[np.ndarray, float], np.ndarray]
     coupling: Coupling
     objective: Callable[[np.ndarray], float]
 

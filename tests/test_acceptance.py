@@ -20,7 +20,6 @@ from drsplit.adaptive import (
 from drsplit.experiments import gen_lad, gen_monotone_pair, gen_tv
 from drsplit.linalg import LinearMap, eig_all
 from drsplit.operators import (
-    ProxMap,
     box_dual_prox,
     moreau_dual_resolvent,
     prox_l1,
@@ -178,8 +177,7 @@ def test_criterion_06_quadratic_ground_truth():
     b = rng.standard_normal(m)
     prob = PdProblem(
         f_prox=quadratic_fidelity_prox(np.zeros(n)),
-        gstar_prox=ProxMap(lambda v, step: (v - step * b) / (1.0 + step),
-                           tag="quad-conj"),
+        gstar_prox=lambda v, step: (v - step * b) / (1.0 + step),
         coupling=LinearMap(kmat),
         objective=lambda x: float(0.5 * x @ x
                                   + 0.5 * np.sum((kmat @ x - b) ** 2)),

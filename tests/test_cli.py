@@ -6,7 +6,6 @@ import pytest
 
 from drsplit import experiments, pddr
 from drsplit.cli import main
-from drsplit.operators import ProxMap
 from drsplit.ppa_core import IterationDiverged
 from drsplit.report import read_scan_csv, read_trace_csv
 
@@ -146,6 +145,24 @@ class TestCompare:
         text = svg.read_text()
         assert ">ts-adaptive</text>" in text
 
+    def test_single_policy_flag_is_not_accepted(self, tmp_path, capsys):
+        # compare runs --policies; a --policy it would ignore is an argparse
+        # usage error, not a silent no-op.
+        with pytest.raises(SystemExit) as info:
+            main(["compare", "--m", "20", "--n", "10", "--policy", "constant",
+                  "--out-dir", str(tmp_path / "x")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --policy" in capsys.readouterr().err
+
+    def test_negative_grid_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        code, _, stderr = run(
+            ["compare", "--problem", "lad", "--m", "20", "--n", "10",
+             "--max-iter", "5", "--grid", "-2", "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert "invalid configuration: grid size must be nonnegative" in stderr
+        assert not out_dir.exists()
+
     def test_unknown_policy_is_usage_error(self, tmp_path, capsys):
         code, _, stderr = run(
             ["compare", "--problem", "lad", "--m", "20", "--n", "10",
@@ -168,8 +185,8 @@ class TestConfigEcho:
         (["spectrum", "--half-dim", "2", "--grid", "2", "--out", "{tmp}/scan.csv"],
          {"command", "grid", "grid_max", "grid_min", "half_dim", "out", "plot", "seed"}),
         (["compare", "--m", "20", "--n", "10", "--max-iter", "2", "--out-dir", "{tmp}/runs"],
-         SOLVER_KEYS - {"out"} | {"grid", "grid_max", "grid_min", "m", "noise", "out_dir",
-                                  "policies", "problem"}),
+         SOLVER_KEYS - {"out", "policy"} | {"grid", "grid_max", "grid_min", "m", "noise",
+                                            "out_dir", "policies", "problem"}),
     ], ids=["lad", "tv", "spectrum", "compare"])
     def test_echo_has_exactly_these_keys(self, tmp_path, capsys, argv, keys):
         code, _, stderr = run([a.format(tmp=tmp_path) for a in argv], capsys)
@@ -243,7 +260,7 @@ class TestExitCodes:
                     out[0] = bad
                 return out
 
-            return inst, replace(prob, **{side: ProxMap(bomb, tag="bomb")})
+            return inst, replace(prob, **{side: bomb})
 
         monkeypatch.setattr(experiments, "gen_lad", gen_bombed)
         out = tmp_path / "t.csv"

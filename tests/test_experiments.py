@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,6 @@ from scipy.optimize import linprog
 
 from drsplit.adaptive import ConstantPolicy, TsAdaptivePolicy
 from drsplit.experiments import (
-    forward_difference_map,
     gen_lad,
     gen_monotone_pair,
     gen_tv,
@@ -15,8 +15,14 @@ from drsplit.experiments import (
     make_tv_problem,
     run_comparison,
 )
-from drsplit.linalg import LinearMap
-from drsplit.pddr import solve
+from drsplit.linalg import DifferenceMap, LinearMap
+from drsplit.operators import (
+    prox_box_dual,
+    prox_l1,
+    prox_quadratic_fidelity,
+    prox_shifted_l1_conj,
+)
+from drsplit.pddr import PdProblem, solve
 
 
 class TestGenerators:
@@ -116,20 +122,20 @@ class TestGenerators:
 
 class TestDifferenceMap:
     def test_known_matrix(self):
-        d = forward_difference_map(4)
+        d = DifferenceMap(4)
         want = np.array([[-1.0, 1.0, 0.0, 0.0],
                          [0.0, -1.0, 1.0, 0.0],
                          [0.0, 0.0, -1.0, 1.0]])
         np.testing.assert_array_equal(d.mat, want)
 
     def test_ramp_and_constant(self):
-        d = forward_difference_map(6)
+        d = DifferenceMap(6)
         np.testing.assert_array_equal(d.matvec(np.arange(6.0)), np.ones(5))
         np.testing.assert_array_equal(d.matvec(np.full(6, 2.5)), np.zeros(5))
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            forward_difference_map(1)
+            DifferenceMap(1)
 
     @pytest.mark.parametrize("policy", [TsAdaptivePolicy(), ConstantPolicy(1.1, 0.9)],
                              ids=["ts-adaptive", "constant"])
@@ -202,6 +208,39 @@ class TestObjectives:
         x, _, _ = solve(prob, ConstantPolicy(1.0, 1.0),
                         max_iter=4000, tol=0.0)
         assert np.linalg.norm(x - inst.noisy) <= 1e-4
+
+
+def assert_same_solve_bits(prob, made, sweeps):
+    (x, y, trace), (x0, y0, trace0) = (
+        solve(p, TsAdaptivePolicy(), max_iter=sweeps, tol=0.0) for p in (prob, made))
+    for got, want in [(x, x0), (y, y0), (np.array(trace.rows), np.array(trace0.rows))]:
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestPlainCallableProxes:
+    # A prox is any callable (point, step) -> array: the public prox_*
+    # functions, wired by hand, must run the generators' solves bit for bit.
+    def test_lad(self):
+        inst, made = gen_lad(41, reg_weight=1.0)
+        a, b = inst.design, inst.observations
+        prob = PdProblem(
+            f_prox=prox_l1,
+            gstar_prox=functools.partial(prox_shifted_l1_conj, shift=b),
+            coupling=LinearMap(a),
+            objective=made.objective,
+        )
+        assert_same_solve_bits(prob, made, 300)
+
+    def test_tv(self):
+        inst, made = gen_tv(42, reg_weight=0.3)
+        z, w = inst.noisy, inst.reg_weight
+        prob = PdProblem(
+            f_prox=functools.partial(prox_quadratic_fidelity, data=z),
+            gstar_prox=lambda v, step: prox_box_dual(v, w),
+            coupling=DifferenceMap(z.size),
+            objective=made.objective,
+        )
+        assert_same_solve_bits(prob, made, 300)
 
 
 class TestLadOptimality:

@@ -233,9 +233,14 @@ class TestLinearMap:
         assert op.matvec(x) @ y == pytest.approx(x @ op.rmatvec(y), rel=1e-12)
 
     def test_gram_caching(self):
-        op = LinearMap(np.arange(6.0).reshape(2, 3))
-        assert op.gram_cols is op.gram_cols
-        np.testing.assert_array_equal(op.gram_rows, op.mat @ op.mat.T)
+        # The Gram matrix of the side schur factors: KK' for a wide K, K'K
+        # for a tall one.
+        wide = LinearMap(np.arange(6.0).reshape(2, 3))
+        assert wide.gram is wide.gram
+        np.testing.assert_array_equal(wide.gram, wide.mat @ wide.mat.T)
+        tall = LinearMap(np.arange(6.0).reshape(3, 2))
+        assert tall.gram is tall.gram
+        np.testing.assert_array_equal(tall.gram, tall.mat.T @ tall.mat)
 
     def test_shape_checks(self):
         op = LinearMap(np.ones((2, 3)))
@@ -311,7 +316,7 @@ class TestDifferenceMap:
         # hides behind the structured operator.
         d = DifferenceMap(3)
         assert not isinstance(d, LinearMap)
-        assert not hasattr(d, "gram_rows") and not hasattr(d, "gram_cols")
+        assert not hasattr(d, "gram")
 
     def test_shape_checks(self):
         d = DifferenceMap(4)

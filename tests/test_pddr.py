@@ -12,7 +12,6 @@ from drsplit.adaptive import AdaptiveConfig, ConstantPolicy, TAdaptivePolicy, Ts
 from drsplit.experiments import gen_lad, gen_tv, make_tv_problem
 from drsplit.linalg import DifferenceMap, LinearMap
 from drsplit.operators import (
-    ProxMap,
     quadratic_fidelity_prox,
     scaled_l1_prox,
     shifted_l1_conjugate_prox,
@@ -53,8 +52,7 @@ def quadratic_pair(seed=0, m=9, n=6):
     b = rng.standard_normal(m)
     prob = PdProblem(
         f_prox=quadratic_fidelity_prox(np.zeros(n)),
-        gstar_prox=ProxMap(lambda v, step: (v - step * b) / (1.0 + step),
-                           tag="quad-conj"),
+        gstar_prox=lambda v, step: (v - step * b) / (1.0 + step),
         coupling=LinearMap(a),
         objective=lambda x: float(0.5 * x @ x
                                   + 0.5 * np.sum((a @ x - b) ** 2)),
@@ -266,8 +264,8 @@ class TestSweep:
     def test_zero_problem_stops_at_once(self):
         n, m = 4, 3
         prob = PdProblem(
-            f_prox=ProxMap(lambda v, step: v, tag="zero"),
-            gstar_prox=ProxMap(lambda v, step: np.zeros_like(v), tag="lin-conj"),
+            f_prox=lambda v, step: v,
+            gstar_prox=lambda v, step: np.zeros_like(v),
             coupling=LinearMap(np.zeros((m, n))),
             objective=lambda x: 0.0,
         )
@@ -299,7 +297,7 @@ class TestSweep:
 
         prob = lad_like(6)
         bad = PdProblem(
-            f_prox=ProxMap(exploding, tag="bomb"),
+            f_prox=exploding,
             gstar_prox=prob.gstar_prox,
             coupling=prob.coupling,
             objective=prob.objective,
@@ -457,7 +455,7 @@ def with_bad_prox(prob, side, bad, after):
             out[0] = bad
         return out
 
-    return replace(prob, **{side: ProxMap(bomb, tag="bomb")})
+    return replace(prob, **{side: bomb})
 
 
 def reference_lad_run(a, b, weight, policy, sweeps):
