@@ -201,6 +201,9 @@ def _cmd_compare(args) -> int:
     unknown = sorted(set(names) - set(_POLICY_NAMES))
     if unknown:
         raise ValueError(f"unknown policies: {', '.join(unknown)}")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"repeated policies: {', '.join(repeated)}")
     policies = [_build_policy(name, args) for name in names]
     if args.grid > 0:
         grid = experiments.log_grid(args.grid_min, args.grid_max, args.grid)

@@ -61,7 +61,7 @@ class TvInstance:
 
 
 def make_lad_problem(design, observations, reg_weight: float) -> PdProblem:
-    """Wire ``min_x ||Ax - b||_1 + reg_weight * ||x||_1`` for the solver."""
+    """Wire ``min_x ||Ax - b||_1 + reg_weight * ||x||_1`` from finite data."""
     a = np.asarray(design, dtype=float)
     b = np.asarray(observations, dtype=float)
     if not 0 < reg_weight < math.inf:
@@ -69,6 +69,8 @@ def make_lad_problem(design, observations, reg_weight: float) -> PdProblem:
             f"regularization weight must be finite and positive, got {reg_weight}")
     if a.ndim != 2 or b.shape != (a.shape[0],):
         raise ValueError(f"shape mismatch: design {a.shape}, observations {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("observations have non-finite entries")
 
     # np.add.reduce is what ndarray.sum and np.sum call, minus their
     # Python-level argument handling: the same bits, once per sweep.
@@ -97,11 +99,14 @@ def gen_lad(seed: int, m: int = 200, n: int = 100,
 
 
 def make_tv_problem(noisy, reg_weight: float) -> tuple[PdProblem, DifferenceMap]:
-    """Wire ``min_x 0.5 ||x - noisy||^2 + reg_weight * ||Dx||_1``."""
+    """Wire ``min_x 0.5 ||x - noisy||^2 + reg_weight * ||Dx||_1`` for a finite
+    signal ``noisy``."""
     y = np.asarray(noisy, dtype=float)
     if not 0 < reg_weight < math.inf:
         raise ValueError(
             f"regularization weight must be finite and positive, got {reg_weight}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("signal has non-finite entries")
     diff = DifferenceMap(y.size)
 
     def objective(x):

@@ -2,12 +2,13 @@
 
 Everything operates on plain float64 numpy arrays.  General matrices are
 materialized densely, at desk scale (a few hundred rows); the one structured
-operator, :class:`DifferenceMap`, is applied by slicing and never stores its
-matrix, so it scales to millions of samples.  The routines here wrap LAPACK
-through numpy/scipy and add the dimension, symmetry, and definiteness checks
-the callers rely on.
+operator, :class:`DifferenceMap`, is applied by slicing and has no dense
+matrix to build, so it scales to millions of samples.  The routines here
+wrap LAPACK through numpy/scipy and add the dimension, symmetry, and
+definiteness checks the callers rely on.
 
-A coupling operator (any :class:`Coupling`) owns the solve with its Schur
+A coupling operator (any :class:`Coupling`) is four members: ``shape``,
+``matvec``, ``rmatvec`` and ``schur``.  It owns the solve with its Schur
 complement ``I + ts*KK'`` or ``I + ts*K'K``: its ``schur(ts)`` returns the
 factored complement for exactly that ``ts`` (a :class:`Schur`): a dense
 Cholesky factor for a general K, a tridiagonal LDLᵀ (``dpttrf``/``dpttrs``),
@@ -44,6 +45,7 @@ __all__ = [
     "NotPsdError",
     "Schur",
     "SpdFactor",
+    "check_diagonal",
     "check_steps",
     "eig_all",
     "eig_pairs",
@@ -115,6 +117,20 @@ def check_steps(t: float, s: float, what: str = "stepsizes") -> None:
     if not (0.0 < t < math.inf and 0.0 < s < math.inf and t * s < math.inf):
         raise ValueError(f"{what} must be finite and positive, with a finite "
                          f"product t*s, got t={t}, s={s}")
+
+
+def check_diagonal(diag, size: int, what: str) -> np.ndarray:
+    """Return a diagonal preconditioner or scaling as a float vector.
+
+    It must have length ``size`` and entries that are all finite and
+    positive; anything else raises ``ValueError`` naming ``what``.
+    """
+    d = np.asarray(diag, dtype=float)
+    if d.shape != (size,):
+        raise ValueError(f"{what} shape {d.shape} does not match {size}")
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError(f"{what} must be finite and positive")
+    return d
 
 
 def spd_factor(s_mat) -> SpdFactor:
@@ -255,22 +271,18 @@ def seminorm(u, mat) -> float:
 
 
 class Coupling(Protocol):
-    """What the solver needs of a coupling operator K, ``rows x cols``.
+    """What the solver reads of a coupling operator K, and all of it.
 
+    ``shape`` is ``(rows, cols)``; ``matvec`` applies K and ``rmatvec`` K'.
     ``schur(ts)`` returns the factored Schur complement on the smaller side,
     for exactly that ``ts``: ``I + ts*KK'`` when rows < cols, ``I + ts*K'K``
     otherwise.  :func:`drsplit.pddr.block_resolvent` forms the right-hand
-    side to match.  A declaration only: the couplings below share no base.
+    side to match.  A declaration only: the couplings below share no base,
+    and a custom coupling needs these four members and nothing else.
     """
 
     @property
     def shape(self) -> tuple[int, int]: ...
-
-    @property
-    def rows(self) -> int: ...
-
-    @property
-    def cols(self) -> int: ...
 
     def matvec(self, x) -> np.ndarray: ...
 
@@ -295,24 +307,18 @@ class LinearMap:
     def shape(self) -> tuple[int, int]:
         return self.mat.shape
 
-    @property
-    def rows(self) -> int:
-        return self.mat.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.mat.shape[1]
-
     def matvec(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float)
-        if v.shape != (self.cols,):
-            raise ValueError(f"dimension mismatch: expected {self.cols}, got {v.shape}")
+        cols = self.mat.shape[1]
+        if v.shape != (cols,):
+            raise ValueError(f"dimension mismatch: expected {cols}, got {v.shape}")
         return self.mat @ v
 
     def rmatvec(self, y) -> np.ndarray:
         v = np.asarray(y, dtype=float)
-        if v.shape != (self.rows,):
-            raise ValueError(f"dimension mismatch: expected {self.rows}, got {v.shape}")
+        rows = self.mat.shape[0]
+        if v.shape != (rows,):
+            raise ValueError(f"dimension mismatch: expected {rows}, got {v.shape}")
         return self.mat.T @ v
 
     # Cached: the solver refactors I + ts*gram many times while stepsizes
@@ -321,7 +327,8 @@ class LinearMap:
     def gram(self) -> np.ndarray:
         """The Gram matrix of the side :meth:`schur` factors, cached:
         ``KK'`` when rows < cols, ``K'K`` otherwise."""
-        if self.rows < self.cols:
+        rows, cols = self.mat.shape
+        if rows < cols:
             return self.mat @ self.mat.T
         return self.mat.T @ self.mat
 
@@ -343,8 +350,8 @@ class DifferenceMap:
     products in value, and bit for bit except for the sign of a zero result.
     ``DD'`` is tridiagonal (2 on the diagonal, -1 beside it), so the Schur
     complement ``I + ts*DD'`` is factored and solved as a tridiagonal LDLᵀ
-    (LAPACK ``dpttrf``/``dpttrs``), also in O(n).  The dense matrix is built
-    only when ``mat`` is read.
+    (LAPACK ``dpttrf``/``dpttrs``), also in O(n).  No dense matrix is ever
+    built: the operator has no ``mat``, and it stores only ``n``.
     """
 
     def __init__(self, n: int):
@@ -357,22 +364,6 @@ class DifferenceMap:
     @property
     def shape(self) -> tuple[int, int]:
         return self.n - 1, self.n
-
-    @property
-    def rows(self) -> int:
-        return self.n - 1
-
-    @property
-    def cols(self) -> int:
-        return self.n
-
-    @cached_property
-    def mat(self) -> np.ndarray:
-        d = np.zeros((self.n - 1, self.n))
-        idx = np.arange(self.n - 1)
-        d[idx, idx] = -1.0
-        d[idx, idx + 1] = 1.0
-        return d
 
     def matvec(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float)

@@ -1,9 +1,10 @@
 """Closed-form proximal maps and the generalized Moreau identity.
 
 Every prox here is firmly nonexpansive in the Euclidean metric for any fixed
-nonnegative stepsize, and evaluating at stepsize zero returns the input (the
-continuous limit).  Stepsizes are passed per call so an adaptive controller
-can change them between iterations without rebuilding operator objects.
+finite nonnegative stepsize, and evaluating at stepsize zero returns the
+input (the continuous limit).  Stepsizes are passed per call so an adaptive
+controller can change them between iterations without rebuilding operator
+objects.
 
 A factory (``scaled_l1_prox`` and the rest) fixes a prox's weight, shift,
 data or bound and returns it as a plain callable ``prox(v, step) -> array``,
@@ -14,6 +15,8 @@ import math
 from typing import Callable
 
 import numpy as np
+
+from .linalg import check_diagonal
 
 __all__ = [
     "box_dual_prox",
@@ -55,8 +58,8 @@ def _quadratic_fidelity(v, step, d):
 
 def _check_step(step) -> None:
     # Written so that a NaN stepsize fails too.
-    if not step >= 0:
-        raise ValueError(f"stepsize must be nonnegative, got {step}")
+    if not 0 <= step < math.inf:
+        raise ValueError(f"stepsize must be finite and nonnegative, got {step}")
 
 
 def _same_shape(v, other, what: str) -> None:
@@ -111,7 +114,7 @@ def moreau_dual_resolvent(x, sigma_diag, primal_resolvent) -> np.ndarray:
     x : array_like
         Evaluation point.
     sigma_diag : array_like
-        Positive diagonal of the scaling Sigma.
+        Diagonal of the scaling Sigma, as long as ``x``, finite and positive.
     primal_resolvent : callable
         Evaluates the resolvent of Sigma^{-1} * T, i.e. ``v -> (I + Sigma^{-1} T)^{-1} v``.
 
@@ -121,11 +124,7 @@ def moreau_dual_resolvent(x, sigma_diag, primal_resolvent) -> np.ndarray:
         ``x - Sigma * primal_resolvent(Sigma^{-1} x)``.
     """
     v = np.asarray(x, dtype=float)
-    sig = np.asarray(sigma_diag, dtype=float)
-    if sig.shape != v.shape:
-        raise ValueError(f"shape mismatch: {v.shape} vs scaling {sig.shape}")
-    if np.any(sig <= 0):
-        raise ValueError("scaling diagonal must be positive")
+    sig = check_diagonal(sigma_diag, v.size, "scaling diagonal")
     return v - sig * np.asarray(primal_resolvent(v / sig), dtype=float)
 
 

@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg
-from .linalg import Coupling, check_steps
+from .linalg import Coupling, check_diagonal, check_steps
 from .ppa_core import IterationDiverged, PreconditionedResolvent
 
 __all__ = [
@@ -73,11 +73,11 @@ class PdProblem:
 
     @property
     def primal_dim(self) -> int:
-        return self.coupling.cols
+        return self.coupling.shape[1]
 
     @property
     def dual_dim(self) -> int:
-        return self.coupling.rows
+        return self.coupling.shape[0]
 
 
 @dataclass
@@ -92,10 +92,10 @@ class DRState:
 
 
 class StepOutput(NamedTuple):
+    """The shadow pair of one sweep."""
+
     x: np.ndarray
     y: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
 
 
 class TraceRow(NamedTuple):
@@ -176,7 +176,7 @@ def pd_dr_step(state: DRState, prob: PdProblem) -> tuple[DRState, StepOutput]:
     state.p = p + u - x
     state.q = q + v - y
     state.k += 1
-    return state, StepOutput(x, y, u, v)
+    return state, StepOutput(x, y)
 
 
 def preconditioned_dr_step(w, delta_diag, resolvent_a, resolvent_b) -> np.ndarray:
@@ -187,13 +187,12 @@ def preconditioned_dr_step(w, delta_diag, resolvent_a, resolvent_b) -> np.ndarra
     diagonal preconditioner.  Returns
 
         w + resolvent_b(2 a - w) - a,    a = resolvent_a(w).
+
+    Raises ``ValueError`` unless ``delta_diag`` is a vector as long as w
+    whose entries are finite and positive.
     """
     wv = np.asarray(w, dtype=float)
-    dd = np.asarray(delta_diag, dtype=float)
-    if dd.shape != wv.shape:
-        raise ValueError(f"shape mismatch: {wv.shape} vs preconditioner {dd.shape}")
-    if np.any(dd <= 0):
-        raise ValueError("preconditioner diagonal must be positive")
+    dd = check_diagonal(delta_diag, wv.size, "preconditioner diagonal")
     a = np.asarray(resolvent_a(wv, dd), dtype=float)
     return wv + np.asarray(resolvent_b(2.0 * a - wv, dd), dtype=float) - a
 

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .pddr import SolveTrace, TraceRow
-from .spectral import RadiusScan, ScanRow, SpectralReport
+from .spectral import RadiusScan, ScanRow, SpectralReport, best_row
 
 __all__ = [
     "read_scan_csv",
@@ -70,8 +70,7 @@ def read_scan_csv(path) -> RadiusScan:
             rows.append(ScanRow(t, s, rho))
     if not rows:
         raise ValueError("scan table has no rows")
-    best = min(rows, key=lambda r: (r.rho, r.t, r.s))
-    return RadiusScan(rows=rows, best=best)
+    return RadiusScan(rows=rows, best=best_row(rows))
 
 
 # -- minimal deterministic SVG rendering ------------------------------------

@@ -26,6 +26,7 @@ __all__ = [
     "SpectralRecord",
     "SpectralReport",
     "UnboundedStepsizeError",
+    "best_row",
     "disc_report",
     "dr_update_matrix",
     "iteration_matrix",
@@ -108,11 +109,7 @@ def _delta_vector(delta, dim: int) -> np.ndarray:
         if np.any(d != np.diag(np.diag(d))):
             raise ValueError("preconditioner must be diagonal")
         d = np.diag(d)
-    if d.shape != (dim,):
-        raise ValueError(f"preconditioner shape {d.shape} does not match {dim}")
-    if not np.all(np.isfinite(d) & (d > 0)):
-        raise ValueError("preconditioner diagonal must be finite and positive")
-    return d
+    return linalg.check_diagonal(d, dim, "preconditioner diagonal")
 
 
 def _operator_pair(a_mat, b_mat) -> tuple[np.ndarray, np.ndarray]:
@@ -306,13 +303,18 @@ class RadiusScan:
     best: ScanRow
 
 
+def best_row(rows: list[ScanRow]) -> ScanRow:
+    """The row of least radius, ties broken by (t, s) so that the choice is
+    deterministic."""
+    return min(rows, key=lambda r: (r.rho, r.t, r.s))
+
+
 def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
     """Spectral radius of the iteration matrix over a stepsize grid.
 
-    Rows are ordered t-major then s; ``best`` is the row minimizing the
-    radius (ties broken by (t, s) so the result is deterministic).  Each
-    pair costs one :func:`iteration_matrix` and one :func:`spectral_radius`,
-    which computes eigenvalues only.
+    Rows are ordered t-major then s; ``best`` is :func:`best_row` of them.
+    Each pair costs one :func:`iteration_matrix` and one
+    :func:`spectral_radius`, which computes eigenvalues only.
     """
     t_vals = np.asarray(t_grid, dtype=float)
     s_vals = np.asarray(s_grid, dtype=float)
@@ -329,8 +331,7 @@ def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
             d = np.concatenate([np.full(n, t), np.full(m, s)])
             rho = spectral_radius(iteration_matrix(a, b, d))
             rows.append(ScanRow(float(t), float(s), rho))
-    best = min(rows, key=lambda r: (r.rho, r.t, r.s))
-    return RadiusScan(rows=rows, best=best)
+    return RadiusScan(rows=rows, best=best_row(rows))
 
 
 def match_spectra(vals_a, vals_b) -> float:

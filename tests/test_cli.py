@@ -172,6 +172,17 @@ class TestCompare:
         assert "invalid configuration" in stderr
         assert "usage:" in stderr
 
+    def test_repeated_policy_is_usage_error(self, tmp_path, capsys):
+        # A second run of one name would overwrite the first one's CSV.
+        out_dir = tmp_path / "runs"
+        code, _, stderr = run(
+            ["compare", "--problem", "lad", "--m", "20", "--n", "10",
+             "--max-iter", "5", "--policies", "ts-adaptive,constant,ts-adaptive",
+             "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert "invalid configuration: repeated policies: ts-adaptive" in stderr
+        assert not out_dir.exists()
+
 
 class TestConfigEcho:
     SOLVER_KEYS = {"cap", "command", "max_iter", "n", "out", "plot", "policy",

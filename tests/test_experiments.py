@@ -85,6 +85,17 @@ class TestGenerators:
         with pytest.raises(ValueError, match="finite"):
             entry(bad)
 
+    @pytest.mark.parametrize("entry, message", [
+        (lambda: make_lad_problem(np.ones((4, 2)), np.array([1.0, np.nan, 0.0, 0.0]), 1.0),
+         "observations have non-finite entries"),
+        (lambda: make_tv_problem(np.array([1.0, np.inf, 0.0]), 1.0),
+         "signal has non-finite entries"),
+    ], ids=["make_lad_problem", "make_tv_problem"])
+    def test_nonfinite_data_rejected(self, entry, message):
+        # Named where the data enters, not met as a diverged first sweep.
+        with pytest.raises(ValueError, match=message):
+            entry()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
     def test_tv_amplitude_rejected(self, bad):
         # Named before the generator draws anything; a NaN amplitude used
@@ -122,11 +133,16 @@ class TestGenerators:
 
 class TestDifferenceMap:
     def test_known_matrix(self):
+        # D times the j-th unit vector is the j-th column, D' times the
+        # i-th unit vector the i-th row.
         d = DifferenceMap(4)
         want = np.array([[-1.0, 1.0, 0.0, 0.0],
                          [0.0, -1.0, 1.0, 0.0],
                          [0.0, 0.0, -1.0, 1.0]])
-        np.testing.assert_array_equal(d.mat, want)
+        for j, e in enumerate(np.eye(4)):
+            np.testing.assert_array_equal(d.matvec(e), want[:, j])
+        for i, e in enumerate(np.eye(3)):
+            np.testing.assert_array_equal(d.rmatvec(e), want[i])
 
     def test_ramp_and_constant(self):
         d = DifferenceMap(6)
@@ -139,12 +155,12 @@ class TestDifferenceMap:
 
     @pytest.mark.parametrize("policy", [TsAdaptivePolicy(), ConstantPolicy(1.1, 0.9)],
                              ids=["ts-adaptive", "constant"])
-    def test_solves_agree_with_dense_coupling(self, policy):
+    def test_solves_agree_with_dense_coupling(self, policy, dense_difference):
         # The criterion-8 sweep through the banded solve and through the
         # same operator stored densely: equal up to rounding.
         for weight in (0.01, 0.1, 1.0, 10.0):
             _, prob = gen_tv(0, reg_weight=weight)
-            dense = replace(prob, coupling=LinearMap(prob.coupling.mat))
+            dense = replace(prob, coupling=LinearMap(dense_difference(prob.primal_dim)))
             x, y, trace = solve(prob, policy, max_iter=1000, tol=0.0)
             x_d, y_d, trace_d = solve(dense, policy, max_iter=1000, tol=0.0)
             np.testing.assert_allclose(x, x_d, rtol=1e-10, atol=1e-10 * np.abs(x_d).max())
@@ -163,7 +179,7 @@ class TestDifferenceMap:
         prob, diff = make_tv_problem(rng.standard_normal(10**6), 0.3)
         x, _, trace = solve(prob, TsAdaptivePolicy(), max_iter=5, tol=0.0)
         assert len(trace.rows) == 5 and np.all(np.isfinite(x))
-        assert "mat" not in diff.__dict__
+        assert not hasattr(diff, "mat")
 
 
 class TestObjectives:

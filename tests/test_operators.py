@@ -96,8 +96,10 @@ class TestQuadraticFidelity:
         np.testing.assert_array_equal(prox_quadratic_fidelity(v, 0.0, d), v)
 
     def test_nan_step_rejected(self):
-        with pytest.raises(ValueError, match="stepsize"):
-            prox_quadratic_fidelity(np.ones(2), np.nan, np.ones(2))
+        # An infinite step would give inf/inf, NaN, with a RuntimeWarning.
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="stepsize"):
+                prox_quadratic_fidelity(np.ones(2), bad, np.ones(2))
 
 
 class TestBoxDual:
@@ -172,8 +174,9 @@ class TestShiftedL1Conj:
             [-1.0, 1.0])
 
     def test_nan_step_rejected(self):
-        with pytest.raises(ValueError, match="stepsize"):
-            prox_shifted_l1_conj(np.ones(2), np.nan, np.ones(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="stepsize"):
+                prox_shifted_l1_conj(np.ones(2), bad, np.ones(2))
 
 
 # NaN of both signs, signed zeros, infinities, huge values, and neighbours
@@ -281,6 +284,12 @@ class TestMoreauDualResolvent:
             moreau_dual_resolvent(np.ones(2), np.array([1.0, 0.0]),
                                   lambda u: u)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_sigma_rejected(self, bad):
+        # "sigma <= 0" let NaN and inf through: [nan, 1] gave [nan, 0].
+        with pytest.raises(ValueError, match="scaling diagonal must be finite and positive"):
+            moreau_dual_resolvent(np.ones(2), np.array([bad, 1.0]), lambda u: u)
+
 
 class TestFactories:
     def test_scaled_l1(self):
@@ -340,8 +349,9 @@ class TestFactories:
                                     quadratic_fidelity_prox(np.ones(2))],
                              ids=["l1", "l1-shift-conj", "quad-fidelity"])
     def test_nan_step_rejected(self, pm):
-        with pytest.raises(ValueError, match="stepsize"):
-            pm(np.ones(2), np.nan)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="stepsize"):
+                pm(np.ones(2), bad)
 
 
 # Each factory against the public prox it must equal: the parameter is the

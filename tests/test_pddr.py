@@ -161,16 +161,17 @@ class TestBlockResolvent:
         # NaN, inf and a product t*s that overflows are named as stepsizes,
         # not reported as a non-finite matrix by the factorization below.
         for op in (LinearMap(np.eye(2)), DifferenceMap(3)):
+            rows, cols = op.shape
             with pytest.raises(ValueError, match=re.escape(f"t={t}, s={s}")):
-                block_resolvent(np.ones(op.cols), np.ones(op.rows), t, s, op)
+                block_resolvent(np.ones(cols), np.ones(rows), t, s, op)
 
     @pytest.mark.parametrize("structured", [True, False])
-    def test_cached_factor_of_wrong_kind_rejected(self, structured):
+    def test_cached_factor_of_wrong_kind_rejected(self, structured, dense_difference):
         # A banded and a dense coupling of the same matrix, factored at the
         # same t*s: each solve uses a factor its own coupling built, never
         # the other kind's.
         diff = DifferenceMap(6)
-        dense = LinearMap(diff.mat)
+        dense = LinearMap(dense_difference(6))
         op, other = (diff, dense) if structured else (dense, diff)
         r1, r2 = np.arange(1.0, 7.0), np.arange(1.0, 6.0)
         _, _, wrong = block_resolvent(r1, r2, 1.0, 2.0, other)
@@ -178,8 +179,8 @@ class TestBlockResolvent:
         assert fac is not wrong and fac is op.schur(2.0) and fac.ts == 2.0
         assert other.schur(2.0) is wrong
         scale = max(1.0, np.linalg.norm(r1), np.linalg.norm(r2))
-        assert np.linalg.norm(u + 1.0 * diff.mat.T @ v - r1) <= 1e-10 * scale
-        assert np.linalg.norm(-2.0 * diff.mat @ u + v - r2) <= 1e-10 * scale
+        assert np.linalg.norm(u + 1.0 * dense.mat.T @ v - r1) <= 1e-10 * scale
+        assert np.linalg.norm(-2.0 * dense.mat @ u + v - r2) <= 1e-10 * scale
 
     def test_factor_of_another_coupling_never_used(self):
         # Two same-shape maps called alternately at one (t, s) each solve
@@ -692,3 +693,14 @@ class TestGoverningForm:
         with pytest.raises(ValueError):
             preconditioned_dr_step(np.ones(2), np.ones(3),
                                    lambda w, d: w, lambda w, d: w)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_preconditioner_rejected(self, bad):
+        # Named here, not later as "preconditioner must be constant on each
+        # block" by the stacked resolvents.
+        prob = lad_like(12)
+        dd = np.ones(prob.primal_dim + prob.dual_dim)
+        dd[0] = bad
+        with pytest.raises(ValueError, match="preconditioner diagonal must be finite and positive"):
+            preconditioned_dr_step(np.zeros(dd.size), dd, stacked_prox_resolvent(prob),
+                                   coupling_block_resolvent(prob))
