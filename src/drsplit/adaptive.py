@@ -96,16 +96,8 @@ def _one_side(step: float, point, shadow, weight: float, lo: float, hi: float,
               cap: float) -> float:
     """Update one stepsize from its prox output ``point`` (a float ndarray)
     and shadow input."""
-    # math.sqrt(v.dot(v)) is how np.linalg.norm computes a 1-D float norm,
-    # bit for bit, without its dispatch.  Its squares overflow for finite
-    # vectors above about 1e154; only then is the norm recomputed, scaled.
-    num = math.sqrt(point.dot(point))
-    if not num < math.inf:
-        num = scaled_norm(point)
-    gap = shadow - point
-    den = math.sqrt(gap.dot(gap))
-    if not den < math.inf:
-        den = scaled_norm(gap)
+    num = scaled_norm(point)
+    den = scaled_norm(shadow - point)
     if den == 0.0:
         if num == 0.0:
             # Nothing observable at this iterate; keep the stepsize bitwise.

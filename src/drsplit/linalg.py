@@ -233,11 +233,19 @@ def eig_all(mat) -> np.ndarray:
 def scaled_norm(*vecs) -> float:
     """Euclidean norm of 1-D float vectors stacked end to end, overflow-safe.
 
-    Sums the squares of the vectors divided by their largest magnitude, so it
-    overflows only where the norm itself does.  It is slower than
-    ``math.sqrt(v.dot(v))``; callers use it where that comes out non-finite.
-    Returns inf or NaN if an entry is inf or NaN.
+    Takes ``math.sqrt`` of the sum of ``v.dot(v)`` in argument order; for one
+    vector that is how ``np.linalg.norm`` computes it, bit for bit, without
+    its dispatch.  The squares overflow for finite vectors above about 1e154;
+    only when the sum is not finite are the vectors divided by their largest
+    magnitude and summed again, so the result overflows only where the norm
+    itself does; numpy's overflow warning from the first sum is left to the
+    caller's ``np.errstate``.  Returns inf or NaN if an entry is inf or NaN.
     """
+    total = 0.0
+    for v in vecs:
+        total += v.dot(v)
+    if total < math.inf:
+        return math.sqrt(total)
     scale = float(np.max([np.abs(v).max(initial=0.0) for v in vecs]))
     if not 0.0 < scale < math.inf:
         return scale

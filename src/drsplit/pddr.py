@@ -35,8 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import linalg
-from .linalg import Coupling, check_diagonal, check_steps
+from .linalg import Coupling, check_diagonal, check_steps, scaled_norm
 from .ppa_core import IterationDiverged, PreconditionedResolvent
 
 __all__ = [
@@ -115,7 +114,11 @@ class SolveTrace:
 
 
 def initial_state(prob: PdProblem, t0: float, s0: float, p0=None, q0=None) -> DRState:
-    """Fresh solver state; shadow points default to zero."""
+    """Fresh solver state; shadow points default to zero.
+
+    Raises ``ValueError`` unless t0, s0 and t0*s0 are finite and positive,
+    and the shadow points have the problem's shapes and finite entries.
+    """
     check_steps(t0, s0, "starting stepsizes")
     p = np.zeros(prob.primal_dim) if p0 is None else np.asarray(p0, dtype=float).copy()
     q = np.zeros(prob.dual_dim) if q0 is None else np.asarray(q0, dtype=float).copy()
@@ -124,6 +127,9 @@ def initial_state(prob: PdProblem, t0: float, s0: float, p0=None, q0=None) -> DR
             f"start shapes {p.shape}, {q.shape} do not match problem "
             f"({prob.primal_dim},), ({prob.dual_dim},)"
         )
+    for name, start in (("p0", p), ("q0", q)):
+        if not np.isfinite(start).all():
+            raise ValueError(f"starting point {name} must be finite")
     return DRState(p=p, q=q, t=float(t0), s=float(s0))
 
 
@@ -305,9 +311,10 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
         from).
     ValueError
         If ``max_iter`` is below 1, ``tol`` is not finite and nonnegative,
-        or ``t0``, ``s0``, the policy's initial stepsizes or any stepsizes
-        its ``update`` returns are not finite and positive with a finite
-        product t*s.
+        ``p0`` or ``q0`` has the wrong shape or a non-finite entry, or
+        ``t0``, ``s0``, the policy's initial stepsizes or any stepsizes its
+        ``update`` returns are not finite and positive with a finite product
+        t*s.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
@@ -322,17 +329,9 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
     out = None
     for k in range(max_iter):
         p, q = state.p, state.q
-        # The squares overflow for finite points above about 1e154; only then
-        # is the norm recomputed, scaled.
-        prev_norm = math.sqrt(p.dot(p) + q.dot(q))
-        if not prev_norm < math.inf:
-            prev_norm = linalg.scaled_norm(p, q)
+        prev_norm = scaled_norm(p, q)
         state, out = pd_dr_step(state, prob)
-        dp = state.p - p
-        dq = state.q - q
-        step_norm = math.sqrt(dp.dot(dp) + dq.dot(dq))
-        if not step_norm < math.inf:
-            step_norm = linalg.scaled_norm(dp, dq)
+        step_norm = scaled_norm(state.p - p, state.q - q)
         residual = step_norm / max(1.0, prev_norm)
         objective = float(prob.objective(out.x))
         # The sweep's one divergence check.  p and q are finite, so any

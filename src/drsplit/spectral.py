@@ -180,8 +180,8 @@ def dr_update_matrix(a_mat, b_mat, delta) -> np.ndarray:
     a, b = _operator_pair(a_mat, b_mat)
     d = _delta_vector(delta, a.shape[0])
     eye = np.eye(a.shape[0])
-    res_a = np.linalg.solve(eye + d[:, None] * a, eye)
-    res_b = np.linalg.solve(eye + d[:, None] * b, eye)
+    res_a = _lu_solve(eye + d[:, None] * a, eye)
+    res_b = _lu_solve(eye + d[:, None] * b, eye)
     return eye + res_b @ (2.0 * res_a - eye) - res_a
 
 

@@ -22,7 +22,6 @@ from drsplit.linalg import LinearMap, eig_all
 from drsplit.operators import (
     box_dual_prox,
     moreau_dual_resolvent,
-    prox_l1,
     quadratic_fidelity_prox,
     scaled_l1_prox,
     shifted_l1_conjugate_prox,
@@ -309,5 +308,5 @@ def test_criterion_10_firm_nonexpansiveness():
 def test_soft_threshold_spot_check():
     # Tiny independent anchor used while reading the acceptance output:
     # the primal prox at work in most criteria above.
-    np.testing.assert_array_equal(prox_l1(np.array([2.0, -0.4]), 1.0),
+    np.testing.assert_array_equal(scaled_l1_prox(1.0)(np.array([2.0, -0.4]), 1.0),
                                   [1.0, 0.0])

@@ -1,4 +1,3 @@
-import functools
 from dataclasses import replace
 
 import numpy as np
@@ -16,12 +15,6 @@ from drsplit.experiments import (
     run_comparison,
 )
 from drsplit.linalg import DifferenceMap, LinearMap
-from drsplit.operators import (
-    prox_box_dual,
-    prox_l1,
-    prox_quadratic_fidelity,
-    prox_shifted_l1_conj,
-)
 from drsplit.pddr import PdProblem, solve
 
 
@@ -234,14 +227,15 @@ def assert_same_solve_bits(prob, made, sweeps):
 
 
 class TestPlainCallableProxes:
-    # A prox is any callable (point, step) -> array: the public prox_*
-    # functions, wired by hand, must run the generators' solves bit for bit.
+    # A prox is any callable (point, step) -> array: each closed form,
+    # restated here as a bare lambda, must run the generators' solves bit
+    # for bit.
     def test_lad(self):
         inst, made = gen_lad(41, reg_weight=1.0)
         a, b = inst.design, inst.observations
         prob = PdProblem(
-            f_prox=prox_l1,
-            gstar_prox=functools.partial(prox_shifted_l1_conj, shift=b),
+            f_prox=lambda v, step: np.sign(v) * np.maximum(np.abs(v) - step, 0.0),
+            gstar_prox=lambda v, step: np.minimum(np.maximum(v - step * b, -1.0), 1.0),
             coupling=LinearMap(a),
             objective=made.objective,
         )
@@ -251,8 +245,8 @@ class TestPlainCallableProxes:
         inst, made = gen_tv(42, reg_weight=0.3)
         z, w = inst.noisy, inst.reg_weight
         prob = PdProblem(
-            f_prox=functools.partial(prox_quadratic_fidelity, data=z),
-            gstar_prox=lambda v, step: prox_box_dual(v, w),
+            f_prox=lambda v, step: (v + step * z) / (1.0 + step),
+            gstar_prox=lambda v, step: np.minimum(np.maximum(v, -w), w),
             coupling=DifferenceMap(z.size),
             objective=made.objective,
         )

@@ -403,6 +403,19 @@ class TestSweep:
             with pytest.raises(ValueError):
                 solve(prob, policy, max_iter=5, **settings)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["p0", "q0"])
+    def test_nonfinite_start_rejected(self, name, bad):
+        # Unchecked, step 0 raises IterationDiverged with a "last finite
+        # state" that holds the bad entry.
+        prob = lad_like(7)
+        start = np.zeros(prob.primal_dim if name == "p0" else prob.dual_dim)
+        start[0] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            solve(prob, ConstantPolicy(1.0, 1.0), max_iter=5, tol=0.0, **{name: start})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            initial_state(prob, 1.0, 1.0, **{name: start})
+
     def test_overflowing_step_product_rejected(self):
         # Each stepsize is finite, their product is not: a usage error naming
         # both, not a non-finite Schur complement.
