@@ -19,7 +19,7 @@ import numpy as np
 
 from . import experiments, pddr, report, spectral
 from .adaptive import AdaptiveConfig, ConstantPolicy, TAdaptivePolicy, TsAdaptivePolicy
-from .linalg import EigenConvergenceError, NotPositiveDefiniteError, NotPsdError
+from .linalg import EigenConvergenceError, NotPositiveDefiniteError
 from .ppa_core import IterationDiverged
 
 __all__ = ["main"]
@@ -29,9 +29,7 @@ _NUMERICAL_ERRORS = (
     EigenConvergenceError,
     spectral.IdentityCheckError,
     NotPositiveDefiniteError,
-    NotPsdError,
     np.linalg.LinAlgError,
-    FloatingPointError,
 )
 
 _POLICY_NAMES = ("constant", "t-adaptive", "ts-adaptive")

@@ -2,7 +2,9 @@
 
 All randomness flows through ``numpy.random.default_rng(seed)``, so equal
 seeds give bitwise-identical instances and, the solver being deterministic,
-bitwise-identical traces.
+bitwise-identical traces.  The total-variation signal's shape is fixed
+(``TV_PLATEAUS`` plateaus within ``DEFAULT_TV_AMPLITUDE``); its length,
+noise level and regularization weight are the settings.
 """
 
 import math
@@ -38,6 +40,8 @@ __all__ = [
 # regularization weight in the standard sweep (10) dominates the signal's
 # cumulative variation and drives the dual stepsize into its cap.
 DEFAULT_TV_AMPLITUDE = 0.05
+# Number of constant pieces in the denoising signal (fewer if n is smaller).
+TV_PLATEAUS = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +104,13 @@ def gen_lad(seed: int, m: int = 200, n: int = 100,
 
 def make_tv_problem(noisy, reg_weight: float) -> tuple[PdProblem, DifferenceMap]:
     """Wire ``min_x 0.5 ||x - noisy||^2 + reg_weight * ||Dx||_1`` for a finite
-    signal ``noisy``."""
+    1-D signal ``noisy``."""
     y = np.asarray(noisy, dtype=float)
     if not 0 < reg_weight < math.inf:
         raise ValueError(
             f"regularization weight must be finite and positive, got {reg_weight}")
+    if y.ndim != 1:
+        raise ValueError(f"signal must be 1-D, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValueError("signal has non-finite entries")
     diff = DifferenceMap(y.size)
@@ -122,33 +128,19 @@ def make_tv_problem(noisy, reg_weight: float) -> tuple[PdProblem, DifferenceMap]
     return prob, diff
 
 
-def _piecewise_signal(rng: np.random.Generator, n: int, plateaus: int,
-                      amplitude: float) -> np.ndarray:
-    plateaus = min(plateaus, n)
-    cuts = np.sort(rng.choice(np.arange(1, n), size=plateaus - 1, replace=False))
-    levels = rng.uniform(-amplitude, amplitude, size=plateaus)
-    signal = np.empty(n)
-    start = 0
-    for level, stop in zip(levels, list(cuts) + [n]):
-        signal[start:stop] = level
-        start = stop
-    return signal
-
-
 def gen_tv(seed: int, n: int = 500, noise_level: float = 0.05,
-           reg_weight: float = 1.0, *, plateaus: int = 5,
-           amplitude: float = DEFAULT_TV_AMPLITUDE) -> tuple[TvInstance, PdProblem]:
-    """Piecewise-constant signal (default 5 plateaus) plus Gaussian noise."""
+           reg_weight: float = 1.0) -> tuple[TvInstance, PdProblem]:
+    """Piecewise-constant signal of ``TV_PLATEAUS`` plateaus (at most ``n``), at
+    levels uniform in [-a, a] for a = ``DEFAULT_TV_AMPLITUDE``, plus Gaussian noise."""
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
     if not 0 <= noise_level < math.inf:
         raise ValueError(f"noise level must be finite and nonnegative, got {noise_level}")
-    if not 0 <= amplitude < math.inf:
-        raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude}")
-    if plateaus < 1:
-        raise ValueError(f"need at least one plateau, got {plateaus}")
     rng = np.random.default_rng(seed)
-    clean = _piecewise_signal(rng, n, plateaus, amplitude)
+    plateaus = min(TV_PLATEAUS, n)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=plateaus - 1, replace=False))
+    levels = rng.uniform(-DEFAULT_TV_AMPLITUDE, DEFAULT_TV_AMPLITUDE, size=plateaus)
+    clean = np.repeat(levels, np.diff(np.concatenate([[0], cuts, [n]])))
     noisy = clean + noise_level * rng.standard_normal(n)
     prob, diff = make_tv_problem(noisy, reg_weight)
     inst = TvInstance(noisy, diff, float(reg_weight), seed)

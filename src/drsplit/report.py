@@ -278,24 +278,20 @@ def write_plot(source, path, labels: Sequence[str] | None = None) -> None:
 
     Traces get an objective panel (log scale whenever every value is
     positive) over a stepsize panel; a spectral report gets an eigenvalue
-    scatter with the reference circle of radius 1/2 centered at 1/2.  Output
+    scatter with the reference circle of radius 1/2 centered at 1/2.  A
+    single trace plots as a one-element list.  ``labels``, when given, name
+    the traces one for one; unlabeled traces get no legend entry.  Output
     bytes depend only on the input data.
     """
+    traces = [source] if isinstance(source, SolveTrace) else source
     if isinstance(source, SpectralReport):
         doc = _spectrum_figure(source)
-    elif isinstance(source, SolveTrace):
-        doc = _trace_figure([source], [labels[0] if labels else ""])
-    elif isinstance(source, (list, tuple)) and all(
-            isinstance(t, SolveTrace) for t in source):
-        if not source:
-            doc = _svg_document(
-                [_Panel(0.0, "objective", "iteration", "objective").render()],
-                _PANEL_H)
-        else:
-            names = list(labels) if labels else [f"run-{i}" for i in range(len(source))]
-            if len(names) != len(source):
-                raise ValueError(f"{len(source)} traces but {len(names)} labels")
-            doc = _trace_figure(source, names)
+    elif isinstance(traces, (list, tuple)) and all(
+            isinstance(t, SolveTrace) for t in traces):
+        names = [""] * len(traces) if labels is None else list(labels)
+        if len(names) != len(traces):
+            raise ValueError(f"{len(traces)} traces but {len(names)} labels")
+        doc = _trace_figure(traces, names)
     else:
         raise TypeError(f"cannot plot object of type {type(source).__name__}")
     with open(path, "w", encoding="ascii", newline="") as fh:

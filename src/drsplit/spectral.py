@@ -1,12 +1,12 @@
 """Spectral analysis of the linear splitting iteration.
 
 For linear monotone halves A and B and a positive diagonal preconditioner D,
-the update map on the governing vector and the map governing the shadow
-sequence are similar matrices, so they share a spectrum.  Every eigenvalue
-lies in the closed disc of radius 1/2 centered at 1/2; an eigenvalue's
-distance from 1/2 is further bounded through a normalized monotonicity ratio
-of A at the matching eigenvector, which is what makes stepsize tuning
-visible in the spectrum.
+given as the vector of its diagonal (finite and positive), the update map on
+the governing vector and the map governing the shadow sequence are similar
+matrices, so they share a spectrum.  Every eigenvalue lies in the closed
+disc of radius 1/2 centered at 1/2; an eigenvalue's distance from 1/2 is
+further bounded through a normalized monotonicity ratio of A at the matching
+eigenvector, which is what makes stepsize tuning visible in the spectrum.
 """
 
 import math
@@ -42,6 +42,8 @@ __all__ = [
 FIXED_POINT_TOL = 1e-8
 # Slack granted to the disc checks to absorb eigensolver roundoff.
 DISC_SLACK = 1e-8
+# Relative roundoff below zero tolerated in a block's least symmetric eigenvalue.
+MONOTONE_TOL = 1e-10
 
 
 class IdentityCheckError(RuntimeError):
@@ -89,27 +91,15 @@ class LinearMonotonePair:
         b[n:, :n] = -self.coupling
         return b
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Check monotonicity of the diagonal blocks; raises on violation."""
         for name, block in (("block_one", self.block_one),
                             ("block_two_inv", self.block_two_inv)):
             sym = 0.5 * (block + block.T)
             low = float(np.min(np.linalg.eigvalsh(sym)))
             scale = max(1.0, float(np.abs(block).max()))
-            if low < -tol * scale:
+            if low < -MONOTONE_TOL * scale:
                 raise ValueError(f"{name} is not monotone: min symmetric eig {low}")
-
-
-def _delta_vector(delta, dim: int) -> np.ndarray:
-    """Normalize a diagonal preconditioner given as a vector or a matrix."""
-    d = np.asarray(delta, dtype=float)
-    if d.ndim == 2:
-        if d.shape != (dim, dim):
-            raise ValueError(f"preconditioner shape {d.shape} does not match {dim}")
-        if np.any(d != np.diag(np.diag(d))):
-            raise ValueError("preconditioner must be diagonal")
-        d = np.diag(d)
-    return linalg.check_diagonal(d, dim, "preconditioner diagonal")
 
 
 def _operator_pair(a_mat, b_mat) -> tuple[np.ndarray, np.ndarray]:
@@ -148,7 +138,8 @@ def iteration_matrix(a_mat, b_mat, delta) -> np.ndarray:
     ------
     ValueError
         If the operators are not square, of one shape and finite, or the
-        preconditioner is not finite and positive.
+        preconditioner diagonal ``delta`` is not a finite, positive vector
+        of their size.
     numpy.linalg.LinAlgError
         If I + DB, I + DA or the closed form's matrix is exactly singular.
     IdentityCheckError
@@ -156,7 +147,7 @@ def iteration_matrix(a_mat, b_mat, delta) -> np.ndarray:
         closed form overflowed), so the matrix cannot be vouched for.
     """
     a, b = _operator_pair(a_mat, b_mat)
-    d = _delta_vector(delta, a.shape[0])
+    d = linalg.check_diagonal(delta, a.shape[0], "preconditioner diagonal")
     da = d[:, None] * a
     db = d[:, None] * b
     eye = np.eye(a.shape[0])
@@ -178,7 +169,7 @@ def dr_update_matrix(a_mat, b_mat, delta) -> np.ndarray:
     the same spectrum.
     """
     a, b = _operator_pair(a_mat, b_mat)
-    d = _delta_vector(delta, a.shape[0])
+    d = linalg.check_diagonal(delta, a.shape[0], "preconditioner diagonal")
     eye = np.eye(a.shape[0])
     res_a = _lu_solve(eye + d[:, None] * a, eye)
     res_b = _lu_solve(eye + d[:, None] * b, eye)
@@ -198,7 +189,7 @@ def monotonicity_ratio(a_mat, delta, z) -> float:
         raise ValueError(f"shape mismatch: operator {a.shape}, vector {vec.shape}")
     if not np.any(vec):
         raise ValueError("vector must be nonzero")
-    d = _delta_vector(delta, vec.size)
+    d = linalg.check_diagonal(delta, vec.size, "preconditioner diagonal")
     az = a @ vec
     num = float(np.real(np.vdot(vec, az)))
     den = float(np.sum(np.abs(vec) ** 2 / d) + np.sum(d * np.abs(az) ** 2))
@@ -238,7 +229,7 @@ def disc_report(pair: LinearMonotonePair, delta) -> SpectralReport:
     a = pair.block_diag_half()
     b = pair.skew_half()
     dim = a.shape[0]
-    d = _delta_vector(delta, dim)
+    d = linalg.check_diagonal(delta, dim, "preconditioner diagonal")
     h = iteration_matrix(a, b, d)
     vals, vecs = linalg.eig_pairs(h)
     records = []
@@ -312,16 +303,17 @@ def best_row(rows: list[ScanRow]) -> ScanRow:
 def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
     """Spectral radius of the iteration matrix over a stepsize grid.
 
-    Rows are ordered t-major then s; ``best`` is :func:`best_row` of them.
-    Each pair costs one :func:`iteration_matrix` and one
-    :func:`spectral_radius`, which computes eigenvalues only.
+    Each grid must be nonempty, 1-D, finite and positive.  Rows are ordered
+    t-major then s; ``best`` is :func:`best_row` of them.  Each pair costs
+    one :func:`iteration_matrix` and one :func:`spectral_radius`, which
+    computes eigenvalues only.
     """
     t_vals = np.asarray(t_grid, dtype=float)
     s_vals = np.asarray(s_grid, dtype=float)
-    if t_vals.size == 0 or s_vals.size == 0:
-        raise ValueError("stepsize grids must be nonempty")
-    if np.any(t_vals <= 0) or np.any(s_vals <= 0):
-        raise ValueError("stepsize grids must be positive")
+    for name, vals in (("t", t_vals), ("s", s_vals)):
+        if vals.ndim != 1 or vals.size == 0 or not np.all(np.isfinite(vals) & (vals > 0)):
+            raise ValueError(
+                f"{name} grid of shape {vals.shape} must be nonempty, 1-D, finite and positive")
     a = pair.block_diag_half()
     b = pair.skew_half()
     n, m = pair.primal_dim, pair.dual_dim

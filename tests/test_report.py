@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,20 @@ class TestSvg:
         with pytest.raises(ValueError):
             write_plot([awkward_trace()], tmp_path / "x.svg",
                        labels=["a", "b"])
+
+    def test_single_trace_label_count_mismatch(self, tmp_path):
+        # A single trace is a one-element list: two labels do not fit it.
+        with pytest.raises(ValueError, match="1 traces but 2 labels"):
+            write_plot(awkward_trace(), tmp_path / "x.svg", labels=["a", "b"])
+
+    def test_unlabeled_traces_have_no_legend(self, tmp_path):
+        path = tmp_path / "u.svg"
+        write_plot([awkward_trace(), awkward_trace()], path)
+        text = path.read_text(encoding="ascii")
+        assert text.count("<polyline") == 4
+        assert "run-" not in text
+        # Legend entries are the right-aligned size-12 texts.
+        assert not re.search(r'font-size="12" fill="#[0-9a-f]{6}" text-anchor="end"', text)
 
     def test_empty_trace_list_renders_axes(self, tmp_path):
         path = tmp_path / "e.svg"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -53,10 +55,19 @@ class TestIterationMatrix:
             gap = match_spectra(np.linalg.eigvals(h), np.linalg.eigvals(f))
             assert gap <= 1e-8
 
-    def test_matrix_preconditioner_accepted(self):
-        h_vec = iteration_matrix([[1.0]], [[1.0]], [2.0])
-        h_mat = iteration_matrix([[1.0]], [[1.0]], np.array([[2.0]]))
-        np.testing.assert_array_equal(h_vec, h_mat)
+    @pytest.mark.parametrize("call", [
+        lambda pair, d: iteration_matrix(pair.block_diag_half(), pair.skew_half(), d),
+        lambda pair, d: dr_update_matrix(pair.block_diag_half(), pair.skew_half(), d),
+        lambda pair, d: monotonicity_ratio(pair.block_diag_half(), d, np.ones(6)),
+        lambda pair, d: disc_report(pair, d),
+    ], ids=["iteration_matrix", "dr_update_matrix", "monotonicity_ratio", "disc_report"])
+    def test_matrix_preconditioner_rejected(self, call):
+        # A preconditioner is the vector of its diagonal; even a positive
+        # diagonal matrix is not a second form of it.
+        pair = gen_monotone_pair(7, half_dim=3)
+        with pytest.raises(ValueError, match=re.escape(
+                "preconditioner diagonal shape (6, 6) does not match 6")):
+            call(pair, np.eye(6))
 
     def test_preconditioner_validation(self):
         with pytest.raises(ValueError):
@@ -282,12 +293,24 @@ class TestRadiusScan:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_grid_rejected(self, bad):
-        # Caught where the grid pair becomes a preconditioner.
+        # Named as a grid where the grids enter, not as the preconditioner
+        # that a grid pair becomes.
         pair = gen_monotone_pair(6, half_dim=3)
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match="t grid .* finite and positive"):
             radius_scan(pair, [1.0, bad], [1.0])
-        with pytest.raises(ValueError, match="finite and positive"):
+        with pytest.raises(ValueError, match="s grid .* finite and positive"):
             radius_scan(pair, [1.0], [bad])
+
+    @pytest.mark.parametrize("half_dim", [2, 3])
+    @pytest.mark.parametrize("grid", [[[1.0, 2.0]], [[1.0], [2.0]]], ids=["row", "column"])
+    def test_two_dimensional_grid_rejected(self, half_dim, grid):
+        # Named where the grid enters; inside the scan a row of it used to
+        # meet np.full as a broadcast error or a failed scalar conversion.
+        pair = gen_monotone_pair(0, half_dim)
+        with pytest.raises(ValueError, match="t grid .* 1-D"):
+            radius_scan(pair, grid, [1.0])
+        with pytest.raises(ValueError, match="s grid .* 1-D"):
+            radius_scan(pair, [1.0], grid)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_scan_computes_no_eigenvectors(self, seed, monkeypatch):
