@@ -155,9 +155,9 @@ def _solve_and_write(prob, args) -> None:
     report.write_trace_csv(trace, args.out)
     if args.plot:
         report.write_plot(trace, args.plot)
-    last = trace.rows[-1]
-    print(f"finished after {len(trace.rows)} iterations: "
-          f"objective {last.objective:.9e}, t {last.t:.6g}, s {last.s:.6g}")
+    _, objective, t, s, _ = trace.data[-1].tolist()
+    print(f"finished after {len(trace)} iterations: "
+          f"objective {objective:.9e}, t {t:.6g}, s {s:.6g}")
 
 
 def _cmd_lad(args) -> int:
@@ -218,7 +218,7 @@ def _cmd_compare(args) -> int:
     if args.plot:
         report.write_plot(traces, args.plot, labels=names)
     for name, trace in zip(names, traces):
-        print(f"{name}: final objective {trace.rows[-1].objective:.9e}")
+        print(f"{name}: final objective {float(trace.column('objective')[-1]):.9e}")
     return 0
 
 

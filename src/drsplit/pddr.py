@@ -27,8 +27,15 @@ is non-finite and ``solve`` raises :class:`IterationDiverged` with the
 sweep's index and the state it started from.  Stepsizes are checked where
 they enter, by one rule (:func:`~drsplit.linalg.check_steps`): t, s and t*s
 must be finite and positive.
+
+The trace is columnar: each sweep appends its five scalars (k, objective,
+t, s, residual) to one growable float64 buffer, which :class:`SolveTrace`
+wraps as a read-only ``(N, 5)`` array when the loop ends: 40 bytes per
+sweep plus the buffer's growth slack (at most 1/16).  No row object is built
+during a solve; ``SolveTrace.rows`` builds them on demand.
 """
 
+import array
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -105,12 +112,42 @@ class TraceRow(NamedTuple):
     residual: float
 
 
-@dataclass
 class SolveTrace:
-    rows: list[TraceRow]
+    """The per-sweep record of a solve, one row per sweep.
+
+    The record is one read-only ``(N, 5)`` float64 array, ``data``, whose
+    columns are the fields of :class:`TraceRow` in order (``k, objective,
+    t, s, residual``, the trace CSV header), 40 bytes per sweep.
+    ``len(trace)`` and ``column(name)``, a view of one column (``k`` as an
+    int64 copy), are the cheap reads.  ``rows`` builds a new list of
+    :class:`TraceRow` (int ``k``, Python floats, the stored bits) on every
+    access, at about 2 µs per row, so code that runs per solve reads columns
+    instead.
+
+    ``rows`` may be any sequence of rows, the empty one included, or an
+    ``(N, 5)`` float64 array, which the trace keeps without copying.
+    """
+
+    def __init__(self, rows):
+        data = np.asarray(rows, dtype=float).view()
+        if data.size == 0:
+            data = data.reshape(0, len(TraceRow._fields))
+        if data.ndim != 2 or data.shape[1] != len(TraceRow._fields):
+            raise ValueError(f"trace rows have shape {data.shape}, "
+                             f"expected (N, {len(TraceRow._fields)})")
+        data.flags.writeable = False
+        self.data = data
+
+    def __len__(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def rows(self) -> list[TraceRow]:
+        return list(map(TraceRow, self.column("k").tolist(), *self.data[:, 1:].T.tolist()))
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.rows])
+        col = self.data[:, TraceRow._fields.index(name)]
+        return col.astype(np.int64) if name == "k" else col
 
 
 def initial_state(prob: PdProblem, t0: float, s0: float, p0=None, q0=None) -> DRState:
@@ -325,7 +362,8 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
     t, s = state.t, state.s
     frozen_from = getattr(policy, "frozen_from", None)
     update_until = max_iter if frozen_from is None else frozen_from
-    rows: list[TraceRow] = []
+    # Five float64s per sweep, wrapped in the trace's array once at the end.
+    record = array.array("d")
     out = None
     for k in range(max_iter):
         p, q = state.p, state.q
@@ -340,7 +378,7 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
         if not (math.isfinite(residual) and math.isfinite(objective)):
             raise IterationDiverged(
                 k, state=DRState(p=p, q=q, t=t, s=s, k=k))
-        rows.append(TraceRow(k, objective, t, s, residual))
+        record.extend((k, objective, t, s, residual))
         if k < update_until:
             t, s = policy.update(t, s, out.x, p, out.y, q, k)
             # This check keeps a stepsize that would poison the factorization
@@ -349,4 +387,4 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
             state.t, state.s = t, s
         if residual <= tol:
             break
-    return out.x, out.y, SolveTrace(rows)
+    return out.x, out.y, SolveTrace(np.frombuffer(record).reshape(-1, 5))

@@ -22,8 +22,12 @@ __all__ = [
     "write_trace_csv",
 ]
 
-TRACE_HEADER = "k,objective,t,s,residual"
+TRACE_HEADER = ",".join(TraceRow._fields)
 SCAN_HEADER = "t,s,rho"
+# One trace CSV row: the integer k, then 17 significant digits per float.
+_TRACE_ROW = "%d,%.16e,%.16e,%.16e,%.16e\n"
+# Every integer of at most this magnitude is exact in float64.
+_EXACT_INT = 2 ** 53
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd",
             "#ff7f0e", "#8c564b", "#e377c2", "#7f7f7f"]
@@ -33,12 +37,15 @@ def write_trace_csv(trace: SolveTrace, path) -> None:
     """Write a solve trace; header plus one newline-terminated row per step."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for r in trace.rows:
-            fh.write(f"{r.k},{r.objective:.16e},{r.t:.16e},{r.s:.16e},{r.residual:.16e}\n")
+        fh.writelines(_TRACE_ROW % tuple(row) for row in trace.data.tolist())
 
 
 def read_trace_csv(path) -> SolveTrace:
-    """Read a trace written by :func:`write_trace_csv` (bitwise round-trip)."""
+    """Read a trace written by :func:`write_trace_csv` (bitwise round-trip).
+
+    Raises ``ValueError`` on a step index a float64 cannot hold exactly
+    (|k| > 2**53), since the trace stores k as a float64.
+    """
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -46,7 +53,10 @@ def read_trace_csv(path) -> SolveTrace:
             raise ValueError(f"unexpected trace header: {header!r}")
         for line in fh:
             k, obj, t, s, res = line.strip().split(",")
-            rows.append(TraceRow(int(k), float(obj), float(t), float(s), float(res)))
+            step = int(k)
+            if abs(step) > _EXACT_INT:
+                raise ValueError(f"step index {step} is not exact in float64")
+            rows.append((step, float(obj), float(t), float(s), float(res)))
     return SolveTrace(rows)
 
 
@@ -82,6 +92,16 @@ _MARGIN = {"left": 70.0, "right": 20.0, "top": 34.0, "bottom": 46.0}
 
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
+
+
+# A polyline vertex, formatted as two _fmt calls joined by a comma.
+_POINT = "%.2f,%.2f"
+
+
+def _xml_text(text: str) -> str:
+    # xml.sax.saxutils.escape, restated: importing it pulls in urllib.request,
+    # about 40 ms and 2 MB at start-up.
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _tick_label(v: float) -> str:
@@ -217,7 +237,8 @@ class _Panel:
             tx, ty = self._transform(xs, ys)
             if tx.size:
                 if kind == "line":
-                    pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(tx, ty))
+                    pts = " ".join(map(_POINT.__mod__,
+                                       zip(px(tx).tolist(), py(ty).tolist())))
                     parts.append(
                         f'<polyline points="{pts}" fill="none" stroke="{color}" '
                         f'stroke-width="1.5"/>')
@@ -229,7 +250,7 @@ class _Panel:
             if label:
                 parts.append(
                     f'<text x="{_fmt(_W - _MARGIN["right"])}" y="{_fmt(legend_y)}" '
-                    f'font-size="12" fill="{color}" text-anchor="end">{label}</text>')
+                    f'font-size="12" fill="{color}" text-anchor="end">{_xml_text(label)}</text>')
                 legend_y += 16.0
         return "\n".join(parts)
 
@@ -247,7 +268,7 @@ def _svg_document(panels: list[str], total_height: int) -> str:
 def _trace_figure(traces: Sequence[SolveTrace], labels: Sequence[str]) -> str:
     objective = _Panel(0.0, "objective", "iteration", "objective")
     values = np.concatenate([t.column("objective") for t in traces]) \
-        if any(t.rows for t in traces) else np.array([])
+        if traces else np.array([])
     objective.y_log = bool(values.size) and bool(np.all(values > 0))
     steps = _Panel(_PANEL_H, "stepsizes", "iteration", "stepsize", y_log=True)
     for i, (trace, label) in enumerate(zip(traces, labels)):
@@ -280,11 +301,14 @@ def write_plot(source, path, labels: Sequence[str] | None = None) -> None:
     positive) over a stepsize panel; a spectral report gets an eigenvalue
     scatter with the reference circle of radius 1/2 centered at 1/2.  A
     single trace plots as a one-element list.  ``labels``, when given, name
-    the traces one for one; unlabeled traces get no legend entry.  Output
-    bytes depend only on the input data.
+    the traces one for one (a spectral report takes none); unlabeled traces
+    get no legend entry, and labels are escaped for XML.  Output bytes depend
+    only on the input data.
     """
     traces = [source] if isinstance(source, SolveTrace) else source
     if isinstance(source, SpectralReport):
+        if labels is not None:
+            raise ValueError("labels name traces; a spectral report takes none")
         doc = _spectrum_figure(source)
     elif isinstance(traces, (list, tuple)) and all(
             isinstance(t, SolveTrace) for t in traces):

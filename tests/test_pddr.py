@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +21,8 @@ from drsplit.operators import (
 from drsplit.pddr import (
     DRState,
     PdProblem,
+    SolveTrace,
+    TraceRow,
     block_resolvent,
     coupling_block_resolvent,
     initial_state,
@@ -646,6 +650,67 @@ class TestLayerHooks:
         solve(prob, TsAdaptivePolicy(), max_iter=25, tol=0.0)
         assert calls == {"pd_dr_step": 25, "block_resolvent": 25,
                          "spd_solve": 0 if structured else 25}
+
+
+def retained_bytes(prob, policy, max_iter):
+    """Bytes a finished solve still holds, trace included, by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = solve(prob, policy, max_iter=max_iter, tol=0.0)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(result[2]) == max_iter
+    return retained
+
+
+class TestColumnarTrace:
+    # A trace is one read-only (N, 5) float64 array; rows are built from it
+    # on demand and must carry exactly the stored bits.
+    def test_retained_memory_per_sweep(self):
+        # The array holds 40 bytes per sweep plus at most 1/16 growth slack;
+        # a row object per sweep kept about 176.  Tracing slows a sweep about
+        # fourfold, so the budgets are 10k sweeps apart to keep this short.
+        prob = lad_like(4, m=6, n=4)
+        small, large = 200, 10200
+        slope = (retained_bytes(prob, ConstantPolicy(1.0, 1.0), large)
+                 - retained_bytes(prob, ConstantPolicy(1.0, 1.0), small)) / (large - small)
+        assert slope <= 48.0
+
+    def test_rows_equal_stored_array_bitwise(self):
+        _, _, trace = solve(lad_like(6), TsAdaptivePolicy(), max_iter=120, tol=0.0)
+        assert trace.data.shape == (120, 5)
+        assert not trace.data.flags.writeable
+        assert len(trace) == 120
+        # The expression the benchmark digests.
+        assert_bitwise(np.array(trace.rows, dtype=float), trace.data)
+        assert_bitwise(SolveTrace(trace.rows).data, trace.data)
+        for j, name in enumerate(TraceRow._fields[1:], start=1):
+            assert_bitwise(trace.column(name), trace.data[:, j])
+            assert np.shares_memory(trace.column(name), trace.data)
+
+    def test_rows_carry_int_k_and_python_floats(self):
+        _, _, trace = solve(lad_like(6), TsAdaptivePolicy(), max_iter=30, tol=0.0)
+        rows = trace.rows
+        assert all(type(r) is TraceRow and type(r.k) is int for r in rows)
+        assert all(type(v) is float for r in rows for v in r[1:])
+        assert [r.k for r in rows] == list(range(30))
+        assert trace.column("k").dtype == np.int64
+        np.testing.assert_array_equal(trace.column("k"), np.arange(30))
+
+    def test_empty_trace(self):
+        trace = SolveTrace([])
+        assert len(trace) == 0 and trace.rows == []
+        assert trace.data.shape == (0, 5)
+        assert trace.column("objective").size == 0
+        assert trace.column("k").dtype == np.int64
+
+    def test_wrong_row_width_rejected(self):
+        with pytest.raises(ValueError, match="expected"):
+            SolveTrace([(0, 1.0, 1.0, 1.0)])
 
 
 class TestGoverningForm:

@@ -1,13 +1,18 @@
 import math
 import re
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 
 from drsplit.pddr import SolveTrace, TraceRow
 from drsplit.report import (
+    _MARGIN,
+    _PANEL_H,
     SCAN_HEADER,
     TRACE_HEADER,
+    _fmt,
+    _Panel,
     read_scan_csv,
     read_trace_csv,
     write_plot,
@@ -48,6 +53,29 @@ class TestTraceCsv:
         assert text.endswith("\n")
         assert len(lines) == 5  # header + 3 rows + trailing empty piece
         assert lines[1].count(",") == 4
+
+    def test_bytes_match_row_format(self, tmp_path):
+        # The writer formats from the array; the bytes are those of the
+        # row-by-row format, signed zero and subnormals included.
+        rows = awkward_trace().rows + [TraceRow(3, -0.0, 2.0 ** -1074, 1.0, -0.0)]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(SolveTrace(rows), path)
+        want = TRACE_HEADER + "\n" + "".join(
+            f"{r.k},{r.objective:.16e},{r.t:.16e},{r.s:.16e},{r.residual:.16e}\n"
+            for r in rows)
+        assert path.read_text(encoding="ascii") == want
+
+    @pytest.mark.parametrize("k", [2 ** 53 + 1, -(2 ** 53) - 1, 10 ** 30])
+    def test_inexact_step_index_rejected(self, tmp_path, k):
+        path = tmp_path / "big.csv"
+        path.write_text(f"{TRACE_HEADER}\n{k},1.0,1.0,1.0,0.5\n")
+        with pytest.raises(ValueError, match="not exact in float64"):
+            read_trace_csv(path)
+
+    def test_largest_exact_step_index_round_trips(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        write_trace_csv(SolveTrace([TraceRow(2 ** 53, 1.0, 1.0, 1.0, 0.5)]), path)
+        assert read_trace_csv(path).rows[0].k == 2 ** 53
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -131,6 +159,43 @@ class TestSvg:
         # A single trace is a one-element list: two labels do not fit it.
         with pytest.raises(ValueError, match="1 traces but 2 labels"):
             write_plot(awkward_trace(), tmp_path / "x.svg", labels=["a", "b"])
+
+    def test_labels_escaped(self, tmp_path):
+        path = tmp_path / "esc.svg"
+        write_plot([awkward_trace()], path, labels=["t<s & more"])
+        doc = minidom.parse(str(path))
+        texts = [node.firstChild.data for node in doc.getElementsByTagName("text")
+                 if node.firstChild is not None]
+        assert "t<s & more" in texts
+
+    def test_spectral_report_takes_no_labels(self, tmp_path):
+        with pytest.raises(ValueError, match="spectral report"):
+            write_plot(spectrum_report(), tmp_path / "x.svg", labels=["a", "b", "c"])
+
+    def test_polyline_matches_per_point_format(self):
+        # The vertices are mapped as arrays and formatted by one template;
+        # they must read as each point mapped and formatted on its own.
+        # The first and last points sit at the ends of the data range, and
+        # the panel is shifted so the topmost vertex maps to a tiny negative
+        # pixel, which formats as "-0.00".
+        xs = np.array([0.0, 0.25, 1.0 / 3.0, 2.0, 3.0])
+        ys = np.array([-1.0, 2.0, 0.1 + 0.2, -0.5, 1.5])
+        left, width = _MARGIN["left"], 640 - _MARGIN["left"] - _MARGIN["right"]
+        height = _PANEL_H - _MARGIN["top"] - _MARGIN["bottom"]
+        xlo, xhi = xs.min() - 0.05 * (xs.max() - xs.min()), xs.max() + 0.05 * (xs.max() - xs.min())
+        ylo, yhi = ys.min() - 0.05 * (ys.max() - ys.min()), ys.max() + 0.05 * (ys.max() - ys.min())
+        top_gap = (yhi - ys.max()) / (yhi - ylo) * height
+        y0 = -_MARGIN["top"] - top_gap - 0.003
+        top = y0 + _MARGIN["top"]
+        panel = _Panel(y0, "title", "x", "y")
+        panel.add_line(xs, ys, "#000000")
+        got = re.search(r'<polyline points="([^"]*)"', panel.render()).group(1)
+        want = " ".join(
+            f"{_fmt(left + (x - xlo) / (xhi - xlo) * width)},"
+            f"{_fmt(top + (yhi - y) / (yhi - ylo) * height)}"
+            for x, y in zip(xs, ys))
+        assert got == want
+        assert ",-0.00 " in got
 
     def test_unlabeled_traces_have_no_legend(self, tmp_path):
         path = tmp_path / "u.svg"
