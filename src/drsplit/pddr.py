@@ -124,8 +124,8 @@ class SolveTrace:
     access, at about 2 µs per row, so code that runs per solve reads columns
     instead.
 
-    ``rows`` may be any sequence of rows, the empty one included, or an
-    ``(N, 5)`` float64 array, which the trace keeps without copying.
+    The constructor takes any sequence of rows, the empty one included, or
+    an ``(N, 5)`` float64 array, which the trace keeps without copying.
     """
 
     def __init__(self, rows):
