@@ -4,17 +4,22 @@ Everything operates on plain float64 numpy arrays.  General matrices are
 materialized densely, at desk scale (a few hundred rows); the one structured
 operator, :class:`DifferenceMap`, is applied by slicing and has no dense
 matrix to build, so it scales to millions of samples.  The routines here
-wrap LAPACK through numpy/scipy and add the dimension, symmetry, and
-definiteness checks the callers rely on.
+wrap LAPACK through numpy and add the dimension, symmetry, and definiteness
+checks the callers rely on.  scipy is imported only where numpy has no
+equivalent, inside the function that needs it: the tridiagonal factor of
+:class:`DifferenceMap`, and the pivot index of a failed dense Cholesky
+factorization.  Importing this module loads no scipy.
 
 A coupling operator (any :class:`Coupling`) is four members: ``shape``,
 ``matvec``, ``rmatvec`` and ``schur``.  It owns the solve with its Schur
 complement ``I + ts*KK'`` or ``I + ts*K'K``: its ``schur(ts)`` returns the
-factored complement for exactly that ``ts`` (a :class:`Schur`): a dense
-Cholesky factor for a general K, a tridiagonal LDLᵀ (``dpttrf``/``dpttrs``),
-O(n), for forward differences.  The coupling keeps the last one and
-refactors whenever ``ts`` changes in any bit, so a solve depends only on K
-and ``ts``, never on which products were factored before.
+factored complement for exactly that ``ts`` (a :class:`Schur`): for a
+general K a Cholesky-checked dense inverse, applied as one matrix-vector
+product (refined once when ill-conditioned), and for forward differences a
+tridiagonal LDLᵀ (``dpttrf``/``dpttrs``), O(n).  The coupling keeps the
+last one and refactors whenever ``ts`` changes in any bit, so a solve
+depends only on K and ``ts``, never on which products were factored
+before.
 
 Eigenvectors are computed only where they are used, by :func:`eig_pairs`
 (the spectral disc report); spectral radii and stepsize scans call
@@ -34,7 +39,6 @@ from functools import cached_property
 from typing import Callable, Protocol
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dpttrf, dpttrs
 
 __all__ = [
     "Coupling",
@@ -61,6 +65,10 @@ SYMMETRY_RTOL = 1e-10
 PSD_CLAMP = 1e-12
 # Guard against accidentally feeding the dense eigensolver a huge matrix.
 EIG_MAX_DIM = 500
+# Above this 1-norm condition number an SPD solve refines its product with
+# the inverse once (see spd_solve); the default 200x100 LAD instances sit
+# near 200.
+REFINE_COND = 1e3
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -92,10 +100,19 @@ def _square(mat, name: str = "matrix") -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SpdFactor:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""
+    """A symmetric positive definite matrix S, factored for solves.
+
+    ``matrix`` is S itself, ``lower`` its lower-triangular Cholesky factor,
+    which certifies S as positive definite, and ``inverse`` is
+    ``np.linalg.inv(S)``.  ``refine`` is set when S's 1-norm condition
+    number exceeds ``REFINE_COND``, and then :func:`spd_solve` refines once.
+    """
 
     dim: int
+    matrix: np.ndarray
     lower: np.ndarray
+    inverse: np.ndarray
+    refine: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +151,14 @@ def check_diagonal(diag, size: int, what: str) -> np.ndarray:
 
 
 def spd_factor(s_mat) -> SpdFactor:
-    """Cholesky-factor a symmetric positive definite matrix.
+    """Factor a symmetric positive definite matrix for :func:`spd_solve`.
+
+    Takes the Cholesky factor with ``np.linalg.cholesky``, which also decides
+    positive definiteness, and then the inverse with ``np.linalg.inv``: one
+    factorization costs both, and every solve after it is one matrix-vector
+    product, or three for an ill-conditioned matrix (see :func:`spd_solve`).
+    Only when the Cholesky factorization fails is LAPACK's ``dpotrf``
+    imported from scipy, to name the failing pivot.
 
     Parameters
     ----------
@@ -145,34 +169,52 @@ def spd_factor(s_mat) -> SpdFactor:
     -------
     SpdFactor
         Factor with ``lower @ lower.T`` reproducing ``s_mat`` to relative
-        1e-12.
+        1e-12; ``matrix`` is the checked ``s_mat``, ``inverse`` its inverse,
+        and ``refine`` whether its 1-norm condition number exceeds
+        ``REFINE_COND``.
 
     Raises
     ------
     NotPositiveDefiniteError
         If a pivot is nonpositive; carries the failing 0-based index.
     ValueError
-        If the input is not square or not symmetric.
+        If the input is not square, not finite or not symmetric.
     """
     s = _square(s_mat)
     scale = float(np.abs(s).max()) if s.size else 0.0
     if scale > 0.0 and float(np.abs(s - s.T).max()) > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric")
-    c, info = dpotrf(s, lower=1, clean=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(info - 1)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of Cholesky call")
-    return SpdFactor(dim=s.shape[0], lower=c)
+    try:
+        lower = np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        from scipy.linalg.lapack import dpotrf
+
+        info = dpotrf(s, lower=1)[1]
+        # numpy and scipy each call OpenBLAS's dpotrf; should their builds
+        # ever disagree at the boundary, the last pivot is named.
+        raise NotPositiveDefiniteError(info - 1 if info > 0 else s.shape[0] - 1) from None
+    inverse = np.linalg.inv(s)
+    cond = (float(np.abs(s).sum(axis=0).max(initial=0.0))
+            * float(np.abs(inverse).sum(axis=0).max(initial=0.0)))
+    # A copy, so that a caller who later writes into s_mat cannot change it.
+    return SpdFactor(dim=s.shape[0], matrix=s.copy(), lower=lower,
+                     inverse=inverse, refine=cond > REFINE_COND)
 
 
 def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
-    """Solve S x = rhs given the Cholesky factor of S.
+    """Solve S x = rhs given the factor of S from :func:`spd_factor`.
 
-    Calls LAPACK ``dpotrs``, the routine behind ``scipy.linalg.cho_solve``,
-    without its finiteness scans of the factor and the right-hand side.  A
-    factor from :func:`spd_factor` is finite; a non-finite ``rhs`` gives a
-    non-finite solution rather than an error.
+    Returns ``x = inverse @ rhs``, one matrix-vector product.  The residual
+    of that product grows with the condition number of S, fastest when
+    ``rhs`` lies along the large eigenvalues of S, which is where the
+    solver's right-hand sides point at large t*s.  So when ``factor.refine``
+    is set (condition number above ``REFINE_COND``) the solve refines once,
+    to ``x + inverse @ (rhs - S @ x)``, three products in all, which is as
+    accurate as triangular solves with the Cholesky factor.
+
+    Scans nothing for finiteness: a factor from :func:`spd_factor` is
+    finite, and a non-finite ``rhs`` gives a non-finite solution rather
+    than an error.
 
     Raises
     ------
@@ -184,13 +226,13 @@ def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: factor is {factor.dim}, rhs has shape {b.shape}"
         )
-    if factor.dim == 0:
-        # dpotrs's wrapper rejects empty arrays.
-        return np.empty(0)
-    x, info = dpotrs(factor.lower, b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of triangular solve call")
-    return x
+    x = factor.inverse @ b
+    if not factor.refine:
+        return x
+    # A non-finite x meets inf - inf below; the warning would add nothing to
+    # the non-finite solution, which the solver detects itself.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return x + factor.inverse @ (b - factor.matrix @ x)
 
 
 def _dense_eig(routine, mat):
@@ -341,9 +383,9 @@ class LinearMap:
         return self.mat.T @ self.mat
 
     def schur(self, ts: float) -> Schur:
-        """Dense Cholesky factor of ``I + ts*KK'`` (rows < cols) or
-        ``I + ts*K'K`` (otherwise); the last one is kept while ``ts`` is
-        bitwise the same."""
+        """``I + ts*KK'`` (rows < cols) or ``I + ts*K'K`` (otherwise),
+        factored by :func:`spd_factor` and solved by :func:`spd_solve`; the
+        last one is kept while ``ts`` is bitwise the same."""
         if self._schur is None or self._schur.ts != ts:
             gram = self.gram
             factor = spd_factor(np.eye(gram.shape[0]) + ts * gram)
@@ -358,8 +400,9 @@ class DifferenceMap:
     products in value, and bit for bit except for the sign of a zero result.
     ``DD'`` is tridiagonal (2 on the diagonal, -1 beside it), so the Schur
     complement ``I + ts*DD'`` is factored and solved as a tridiagonal LDLᵀ
-    (LAPACK ``dpttrf``/``dpttrs``), also in O(n).  No dense matrix is ever
-    built: the operator has no ``mat``, and it stores only ``n``.
+    (LAPACK ``dpttrf``/``dpttrs``, imported from scipy on the first
+    factorization), also in O(n).  No dense matrix is ever built: the
+    operator has no ``mat``, and it stores only ``n``.
     """
 
     def __init__(self, n: int):
@@ -396,6 +439,8 @@ class DifferenceMap:
         if self._schur is None or self._schur.ts != ts:
             if not math.isfinite(ts):
                 raise ValueError(f"Schur complement has non-finite entries (ts={ts})")
+            from scipy.linalg.lapack import dpttrf, dpttrs
+
             rows = self.n - 1
             # The f2py wrapper of dpttrf rejects an empty off-diagonal, so a
             # single row gets a length-1 one, which LAPACK never reads.

@@ -9,12 +9,12 @@ further bounded through a normalized monotonicity ratio of A at the matching
 eigenvector, which is what makes stepsize tuning visible in the spectrum.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
 
 from . import linalg
 
@@ -115,10 +115,19 @@ def _operator_pair(a_mat, b_mat) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+@functools.cache
+def _dgesv():
+    """scipy's LAPACK ``dgesv``, imported on first use so that importing this
+    module loads no scipy."""
+    from scipy.linalg.lapack import dgesv
+
+    return dgesv
+
+
 def _lu_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve lhs @ x = rhs with LAPACK ``dgesv``, as ``np.linalg.solve`` does,
     without its wrapper; an exactly singular lhs raises ``LinAlgError``."""
-    _, _, x, info = dgesv(lhs, rhs)
+    _, _, x, info = _dgesv()(lhs, rhs)
     if info > 0:
         raise np.linalg.LinAlgError("Singular matrix")
     if info < 0:
@@ -190,6 +199,13 @@ def monotonicity_ratio(a_mat, delta, z) -> float:
     if not np.any(vec):
         raise ValueError("vector must be nonzero")
     d = linalg.check_diagonal(delta, vec.size, "preconditioner diagonal")
+    return _ratio(a, d, vec)
+
+
+def _ratio(a: np.ndarray, d: np.ndarray, vec: np.ndarray) -> float:
+    """:func:`monotonicity_ratio` of inputs that are already checked: a
+    float operator, a finite positive diagonal and a nonzero vector, of
+    matching sizes."""
     az = a @ vec
     num = float(np.real(np.vdot(vec, az)))
     den = float(np.sum(np.abs(vec) ** 2 / d) + np.sum(d * np.abs(az) ** 2))
@@ -224,7 +240,8 @@ def disc_report(pair: LinearMonotonePair, delta) -> SpectralReport:
     roundoff slack); away from the fixed-point cluster at 1 it must also
     respect the tighter radius sqrt(1/4 - r/(1+2r)) computed from the
     monotonicity ratio r at its eigenvector.  Violations are flagged in the
-    records, not raised.
+    records, not raised.  The preconditioner is checked twice, here and in
+    :func:`iteration_matrix`, and not again per eigenvector.
     """
     a = pair.block_diag_half()
     b = pair.skew_half()
@@ -235,7 +252,7 @@ def disc_report(pair: LinearMonotonePair, delta) -> SpectralReport:
     records = []
     for idx in range(vals.size):
         lam = complex(vals[idx])
-        ratio = monotonicity_ratio(a, d, vecs[:, idx])
+        ratio = _ratio(a, d, vecs[:, idx])
         disc_radius = math.sqrt(max(0.25 - ratio / (1.0 + 2.0 * ratio), 0.0))
         dist = abs(lam - 0.5)
         exempt = abs(lam - 1.0) <= FIXED_POINT_TOL

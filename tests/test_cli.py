@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drsplit
 from drsplit import experiments, pddr
 from drsplit.cli import main
 from drsplit.ppa_core import IterationDiverged
@@ -323,3 +328,25 @@ class TestNonFiniteSettings:
         assert "invalid configuration" in stderr
         assert "numerical abort" not in stderr
         assert not out.exists()
+
+
+class TestImportPath:
+    def test_lad_loads_no_scipy(self, tmp_path):
+        # scipy is loaded only for the TV factor and the spectral solves: a
+        # fresh interpreter that imports the package and the CLI and runs a
+        # short LAD solve leaves no scipy module behind.
+        out = tmp_path / "t.csv"
+        code = (
+            "import sys\n"
+            "import drsplit, drsplit.cli\n"
+            f"assert drsplit.cli.main(['lad', '--max-iter', '5', '--out', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = str(Path(drsplit.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        assert out.exists()

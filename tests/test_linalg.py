@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import cho_solve
 
 from drsplit.linalg import (
+    REFINE_COND,
     DifferenceMap,
     EigenConvergenceError,
     LinearMap,
@@ -87,13 +88,29 @@ class TestSpdSolve:
             spd_solve(fac, np.ones(4))
 
     def test_matches_cho_solve_bitwise(self):
+        # The solve is the product with the cached inverse, refined once
+        # when the factor says so, bit for bit, and agrees with LAPACK's
+        # triangular solves on the same Cholesky factor to 1e-12 relative.
         rng = np.random.default_rng(9)
+        refined = set()
         for dim in (1, 7, 100):
             fac = spd_factor(random_spd(rng, dim))
             rhs = rng.standard_normal(dim)
             got = spd_solve(fac, rhs)
-            want = cho_solve((fac.lower, True), rhs)
+            want = fac.inverse @ rhs
+            if fac.refine:
+                want = want + fac.inverse @ (rhs - fac.matrix @ want)
+            refined.add(fac.refine)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            ref = cho_solve((fac.lower, True), rhs)
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert refined == {False, True}
+
+    def test_refines_only_when_ill_conditioned(self):
+        # The flag is the 1-norm condition number against REFINE_COND.
+        assert not spd_factor(np.eye(3)).refine
+        assert not spd_factor(np.diag([1.0, REFINE_COND])).refine
+        assert spd_factor(np.diag([1.0, 2.0 * REFINE_COND])).refine
 
     def test_empty_system(self):
         fac = spd_factor(np.eye(0))

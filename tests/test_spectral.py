@@ -202,6 +202,28 @@ class TestDiscReport:
                     bound = 0.25 - rec.ratio / (1.0 + 2.0 * rec.ratio)
                     assert dist2 <= bound + 1e-8
 
+    def test_preconditioner_checked_twice(self, monkeypatch):
+        # Once in disc_report and once in iteration_matrix, not once more
+        # per eigenvector; each ratio is still monotonicity_ratio's, bitwise.
+        pair = gen_monotone_pair(0, half_dim=25)
+        d = 10.0 ** np.random.default_rng(0).uniform(-1, 1, size=50)
+        want = disc_report(pair, d)
+        real = linalg.check_diagonal
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(linalg, "check_diagonal", counting)
+        report = disc_report(pair, d)
+        assert len(calls) == 2
+        assert report.records == want.records
+        a = pair.block_diag_half()
+        vecs = linalg.eig_pairs(iteration_matrix(a, pair.skew_half(), d))[1]
+        for idx, rec in enumerate(report.records):
+            assert rec.ratio == monotonicity_ratio(a, d, vecs[:, idx])
+
     def test_record_fields(self):
         pair = gen_monotone_pair(0, half_dim=3)
         report = disc_report(pair, np.ones(6))
