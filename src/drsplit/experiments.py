@@ -76,11 +76,14 @@ def make_lad_problem(design, observations, reg_weight: float) -> PdProblem:
     if not np.all(np.isfinite(b)):
         raise ValueError("observations have non-finite entries")
 
-    # np.add.reduce is what ndarray.sum and np.sum call, minus their
-    # Python-level argument handling: the same bits, once per sweep.
-    def objective(x):
-        return float(np.add.reduce(np.abs(a @ x - b))
-                     + reg_weight * np.add.reduce(np.abs(x)))
+    # One matrix product for the whole stack.  np.add.reduce is what
+    # ndarray.sum calls, minus its Python-level argument handling; a row sum
+    # of a C-ordered stack has the bits of the sum of that row alone.
+    def objective(xs):
+        r = xs @ a.T
+        r -= b
+        np.abs(r, out=r)
+        return np.add.reduce(r, axis=1) + reg_weight * np.add.reduce(np.abs(xs), axis=1)
 
     return PdProblem(
         f_prox=scaled_l1_prox(reg_weight),
@@ -115,9 +118,13 @@ def make_tv_problem(noisy, reg_weight: float) -> tuple[PdProblem, DifferenceMap]
         raise ValueError("signal has non-finite entries")
     diff = DifferenceMap(y.size)
 
-    def objective(x):
-        return float(0.5 * np.add.reduce((x - y) ** 2)
-                     + reg_weight * np.add.reduce(np.abs(diff.matvec(x))))
+    # Row by row the bits of 0.5 * sum((x - y)**2) + w * sum(|Dx|) at one x.
+    def objective(xs):
+        r = xs - y
+        np.square(r, out=r)
+        d = xs[:, 1:] - xs[:, :-1]
+        np.abs(d, out=d)
+        return 0.5 * np.add.reduce(r, axis=1) + reg_weight * np.add.reduce(d, axis=1)
 
     prob = PdProblem(
         f_prox=quadratic_fidelity_prox(y),

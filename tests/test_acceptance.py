@@ -178,8 +178,8 @@ def test_criterion_06_quadratic_ground_truth():
         f_prox=quadratic_fidelity_prox(np.zeros(n)),
         gstar_prox=lambda v, step: (v - step * b) / (1.0 + step),
         coupling=LinearMap(kmat),
-        objective=lambda x: float(0.5 * x @ x
-                                  + 0.5 * np.sum((kmat @ x - b) ** 2)),
+        objective=lambda xs: (0.5 * (xs * xs).sum(axis=1)
+                              + 0.5 * ((xs @ kmat.T - b) ** 2).sum(axis=1)),
     )
     target = np.linalg.solve(np.eye(n) + kmat.T @ kmat, kmat.T @ b)
     x, _, trace = solve(prob, ConstantPolicy(1.0, 1.0),

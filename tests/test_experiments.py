@@ -26,8 +26,8 @@ class TestGenerators:
         a2, p2 = gen_lad(7, m=20, n=10)
         np.testing.assert_array_equal(a1.design, a2.design)
         np.testing.assert_array_equal(a1.observations, a2.observations)
-        x = np.ones(10)
-        assert p1.objective(x) == p2.objective(x)
+        xs = np.ones((3, 10))
+        np.testing.assert_array_equal(p1.objective(xs), p2.objective(xs))
 
     def test_lad_shapes_and_defaults(self):
         inst, prob = gen_lad(0)
@@ -193,33 +193,36 @@ class TestDifferenceMap:
 class TestObjectives:
     def test_lad_objective_by_hand(self):
         prob = make_lad_problem(np.eye(2), np.array([1.0, -1.0]), 2.0)
-        # |x - b|_1 + 2|x|_1 at x = (0.5, 0): |0.5 - 1| + |0 + 1| + 2*0.5.
-        assert prob.objective(np.array([0.5, 0.0])) == pytest.approx(2.5)
+        # |x - b|_1 + 2|x|_1, one value per row: at (0.5, 0),
+        # |0.5 - 1| + |0 + 1| + 2*0.5; at (0, 0), |0 - 1| + |0 + 1|.
+        xs = np.array([[0.5, 0.0], [0.0, 0.0]])
+        assert prob.objective(xs) == pytest.approx([2.5, 2.0])
 
     def test_tv_objective_by_hand(self):
         prob, _ = make_tv_problem(np.array([1.0, 1.0, 0.0]), 3.0)
-        # 0.5*||x - y||^2 + 3*||Dx||_1 at x = (1, 0, 0).
-        assert prob.objective(np.array([1.0, 0.0, 0.0])) == \
-            pytest.approx(0.5 + 3.0)
+        # 0.5*||x - y||^2 + 3*||Dx||_1, one value per row: at (1, 0, 0),
+        # 0.5 + 3; at (1, 1, 0), 0 + 3.
+        xs = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+        assert prob.objective(xs) == pytest.approx([0.5 + 3.0, 3.0])
 
     def test_objectives_match_plain_numpy_bitwise(self):
-        # The objectives reduce with np.add.reduce; the bits must be those
-        # of the np.sum / ndarray.sum expressions they replace.
+        # The objectives take a stack, one candidate per row, and reduce
+        # with np.add.reduce.  TV rows carry the bits of the np.sum
+        # expression at each candidate alone; LAD rows those of the same
+        # expression with the stack's one matrix product.
         rng = np.random.default_rng(17)
         a, b = rng.standard_normal((200, 100)), rng.standard_normal(200)
         noisy = rng.standard_normal(500)
         lad = make_lad_problem(a, b, 0.7)
         tv, _ = make_tv_problem(noisy, 0.3)
-        for scale in (1e-8, 1.0, 1e8):
-            x = rng.standard_normal(100) * scale
-            want = float(np.abs(a @ x - b).sum() + 0.7 * np.abs(x).sum())
-            assert np.float64(lad.objective(x)).view(np.int64) == \
-                np.float64(want).view(np.int64)
-            z = rng.standard_normal(500) * scale
-            want = float(0.5 * np.sum((z - noisy) ** 2)
-                         + 0.3 * np.abs(z[1:] - z[:-1]).sum())
-            assert np.float64(tv.objective(z)).view(np.int64) == \
-                np.float64(want).view(np.int64)
+        scales = np.array([1e-8, 1.0, 1e8] * 7)[:, None]
+        xs = rng.standard_normal((scales.size, 100)) * scales
+        want = np.abs(xs @ a.T - b).sum(axis=1) + 0.7 * np.abs(xs).sum(axis=1)
+        np.testing.assert_array_equal(lad.objective(xs).view(np.int64), want.view(np.int64))
+        zs = rng.standard_normal((scales.size, 500)) * scales
+        want = np.array([0.5 * np.sum((z - noisy) ** 2) + 0.3 * np.abs(z[1:] - z[:-1]).sum()
+                         for z in zs])
+        np.testing.assert_array_equal(tv.objective(zs).view(np.int64), want.view(np.int64))
 
     def test_tv_constant_signal_solved_exactly(self):
         prob, _ = make_tv_problem(np.full(30, 0.7), 1.0)

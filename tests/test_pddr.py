@@ -11,7 +11,7 @@ from scipy.linalg import cho_solve
 
 from drsplit import linalg, pddr
 from drsplit.adaptive import AdaptiveConfig, ConstantPolicy, TAdaptivePolicy, TsAdaptivePolicy
-from drsplit.experiments import gen_lad, gen_tv, make_tv_problem
+from drsplit.experiments import gen_lad, gen_tv, make_lad_problem, make_tv_problem
 from drsplit.linalg import DifferenceMap, LinearMap
 from drsplit.operators import (
     quadratic_fidelity_prox,
@@ -26,6 +26,7 @@ from drsplit.pddr import (
     block_resolvent,
     coupling_block_resolvent,
     initial_state,
+    objective_block_rows,
     pd_dr_step,
     preconditioned_dr_step,
     solve,
@@ -45,8 +46,8 @@ def lad_like(seed=0, m=12, n=8, weight=1.0):
         f_prox=scaled_l1_prox(weight),
         gstar_prox=shifted_l1_conjugate_prox(b),
         coupling=LinearMap(a),
-        objective=lambda x: float(np.abs(a @ x - b).sum()
-                                  + weight * np.abs(x).sum()),
+        objective=lambda xs: (np.abs(xs @ a.T - b).sum(axis=1)
+                              + weight * np.abs(xs).sum(axis=1)),
     )
 
 
@@ -58,8 +59,8 @@ def quadratic_pair(seed=0, m=9, n=6):
         f_prox=quadratic_fidelity_prox(np.zeros(n)),
         gstar_prox=lambda v, step: (v - step * b) / (1.0 + step),
         coupling=LinearMap(a),
-        objective=lambda x: float(0.5 * x @ x
-                                  + 0.5 * np.sum((a @ x - b) ** 2)),
+        objective=lambda xs: (0.5 * (xs * xs).sum(axis=1)
+                              + 0.5 * ((xs @ a.T - b) ** 2).sum(axis=1)),
     )
     target = np.linalg.solve(np.eye(n) + a.T @ a, a.T @ b)
     return prob, target
@@ -311,7 +312,7 @@ class TestSweep:
             f_prox=lambda v, step: v,
             gstar_prox=lambda v, step: np.zeros_like(v),
             coupling=LinearMap(np.zeros((m, n))),
-            objective=lambda x: 0.0,
+            objective=lambda xs: np.zeros(len(xs)),
         )
         x, y, trace = solve(prob, ConstantPolicy(1.0, 1.0),
                             max_iter=100, tol=1e-12)
@@ -412,11 +413,13 @@ class TestSweep:
 
     def test_nonfinite_objective_is_typed_divergence(self):
         prob = lad_like(15)
-        calls = [0]
+        # One block holds all 20 sweeps, so row k of the one stack is step k.
+        assert objective_block_rows(prob.primal_dim, prob.dual_dim) >= 20
 
-        def objective(x):
-            calls[0] += 1
-            return np.inf if calls[0] > 3 else prob.objective(x)
+        def objective(xs):
+            values = prob.objective(xs)
+            values[3:] = np.inf
+            return values
 
         bad = PdProblem(prob.f_prox, prob.gstar_prox, prob.coupling, objective)
         with pytest.raises(IterationDiverged) as info:
@@ -519,8 +522,12 @@ def reference_lad_run(a, b, weight, policy, sweeps):
     """The sweep, the solve loop and the two-sided adaptive rule restated in
     plain numpy for LAD, with the coupled solve as the product with the
     inverse that ``spd_factor`` caches, refined once when the factor says
-    so.  Returns x, y and the trace rows."""
+    so, and the objective evaluated as one product per full block of
+    ``objective_block_rows`` candidates from step 0.  Returns x, y and the
+    trace rows."""
     m, n = a.shape
+    height = objective_block_rows(n, m)
+    block = np.zeros((height, n))
     cfg = AdaptiveConfig()
     adaptive = isinstance(policy, TsAdaptivePolicy)
     t, s = policy.initial(1.0, 1.0)
@@ -569,8 +576,13 @@ def reference_lad_run(a, b, weight, policy, sweeps):
         prev = np.sqrt(np.dot(p, p) + np.dot(q, q))
         dp, dq = p_next - p, q_next - q
         residual = float(np.sqrt(np.dot(dp, dp) + np.dot(dq, dq))) / max(1.0, prev)
-        objective = float(np.abs(a @ x - b).sum() + weight * np.abs(x).sum())
-        rows.append((k, objective, t, s, residual))
+        block[k % height] = x
+        rows.append([k, 0.0, t, s, residual])
+        if k % height == height - 1 or k == sweeps - 1:
+            values = np.abs(block @ a.T - b).sum(axis=1) + weight * np.abs(block).sum(axis=1)
+            first = k - k % height
+            for j in range(first, k + 1):
+                rows[j][1] = values[j - first]
         if adaptive:
             t, s = (one_side(t, x, p, k, cfg.lo_t, cfg.hi_t),
                     one_side(s, y, q, k, cfg.lo_s, cfg.hi_s))
@@ -599,10 +611,13 @@ class TestNoArithmeticChange:
             f_prox=scaled_l1_prox(weight),
             gstar_prox=shifted_l1_conjugate_prox(b),
             coupling=LinearMap(a),
-            objective=lambda x: float(np.abs(a @ x - b).sum() + weight * np.abs(x).sum()),
+            objective=lambda xs: (np.abs(xs @ a.T - b).sum(axis=1)
+                                  + weight * np.abs(xs).sum(axis=1)),
         )
-        x, y, trace = solve(prob, policy, max_iter=200, tol=0.0)
-        x_ref, y_ref, rows_ref = reference_lad_run(a, b, weight, policy, 200)
+        # 500 sweeps cross an objective block boundary, at 303 (tall) or
+        # 227 and 454 (wide), and end inside a block.
+        x, y, trace = solve(prob, policy, max_iter=500, tol=0.0)
+        x_ref, y_ref, rows_ref = reference_lad_run(a, b, weight, policy, 500)
         assert_bitwise(x, x_ref)
         assert_bitwise(y, y_ref)
         assert_bitwise(np.array(trace.rows, dtype=float), rows_ref)
@@ -696,6 +711,115 @@ class TestLayerHooks:
         solve(prob, TsAdaptivePolicy(), max_iter=25, tol=0.0)
         assert calls == {"pd_dr_step": 25, "block_resolvent": 25,
                          "spd_solve": 0 if structured else 25}
+
+    @pytest.mark.parametrize("structured", [False, True], ids=["dense", "difference"])
+    def test_objective_called_once_per_block(self, monkeypatch, structured):
+        # The objective sees a full (B, primal_dim) stack once per block of B
+        # sweeps, ceil(N / B) calls per solve; the sweep layers stay per sweep.
+        prob = gen_tv(0, n=40)[1] if structured else gen_lad(0)[1]
+        height = objective_block_rows(prob.primal_dim, prob.dual_dim)
+        assert height == (137 if structured else 40)
+        calls = {"pd_dr_step": 0, "block_resolvent": 0, "spd_solve": 0, "objective": 0}
+        for module, name in ((pddr, "pd_dr_step"), (pddr, "block_resolvent"),
+                             (linalg, "spd_solve")):
+            monkeypatch.setattr(module, name, counted(calls, name, getattr(module, name)))
+
+        def objective(xs):
+            assert xs.shape == (height, prob.primal_dim)
+            return prob.objective(xs)
+
+        counting = replace(prob, objective=counted(calls, "objective", objective))
+        for sweeps in (1, height - 1, height, height + 1, 3 * height + 5):
+            calls.update(dict.fromkeys(calls, 0))
+            solve(counting, TsAdaptivePolicy(), max_iter=sweeps, tol=0.0)
+            assert calls == {"pd_dr_step": sweeps, "block_resolvent": sweeps,
+                             "spd_solve": 0 if structured else sweeps,
+                             "objective": -(-sweeps // height)}
+
+
+def counted(calls, name, fn):
+    def counting(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counting
+
+
+class TestObjectiveBlocks:
+    # solve evaluates the objective once per block of B sweeps, blocks
+    # starting at multiples of B from step 0 and always at full height.
+    @pytest.mark.parametrize("policy", [ConstantPolicy(1.1, 0.9), TsAdaptivePolicy()],
+                             ids=["constant", "ts-adaptive"])
+    @pytest.mark.parametrize("kind", ["lad-tall", "lad-wide", "tv"])
+    def test_shorter_solve_trace_is_a_prefix(self, kind, policy):
+        # A row's bits depend on its x and its step only, never on where the
+        # solve stopped: N sweeps, below B or past it and no multiple of it,
+        # give the first N rows of a longer solve.  A product of a few rows
+        # can have other bits than a taller one, so the short tails of
+        # N = B + 1 and B + 3 would show a block evaluated at partial height.
+        if kind == "tv":
+            prob, _ = make_tv_problem(np.random.default_rng(23).standard_normal(40), 0.5)
+        else:
+            a, b = lad_data(22, *((200, 100) if kind == "lad-tall" else (100, 200)))
+            prob = make_lad_problem(a, b, 0.7)
+        height = objective_block_rows(prob.primal_dim, prob.dual_dim)
+        longest = 2 * height + 5
+        _, _, full = solve(prob, policy, max_iter=longest, tol=0.0)
+        for sweeps in (1, height // 2 + 1, height + 1, height + 3):
+            assert sweeps % height and sweeps < longest
+            _, _, short = solve(prob, policy, max_iter=sweeps, tol=0.0)
+            assert_bitwise(short.data, full.data[:sweeps])
+
+    def test_objective_divergence_mid_block(self):
+        # Finite iterates, an objective non-finite on one row in the middle
+        # of the second block: the error names that sweep and the state it
+        # started from, even when a later sweep of the same block fails too.
+        _, clean = gen_lad(0)
+        height = objective_block_rows(clean.primal_dim, clean.dual_dim)
+        bad_step = height + 7
+        state = initial_state(clean, 1.1, 0.9)
+        for _ in range(bad_step):
+            state, _ = pd_dr_step(state, clean)
+
+        class FaultyLater:
+            def initial(self, t0, s0):
+                return 1.1, 0.9
+
+            def update(self, t, s, x, p, y, q, k):
+                return (t, np.nan) if k == bad_step + 3 else (t, s)
+
+        runs = {
+            "objective only": lambda prob: solve(
+                prob, ConstantPolicy(1.1, 0.9), max_iter=4 * height, tol=0.0),
+            "then residual": lambda prob: solve(
+                with_bad_prox(prob, "f_prox", np.nan, after=bad_step + 5),
+                ConstantPolicy(1.1, 0.9), max_iter=4 * height, tol=0.0),
+            "then policy": lambda prob: solve(
+                prob, FaultyLater(), max_iter=4 * height, tol=0.0),
+        }
+        for label, run in runs.items():
+            blocks = [0]
+
+            def objective(xs):
+                values = clean.objective(xs)
+                if blocks[0] == bad_step // height:
+                    values[bad_step % height] = np.inf
+                blocks[0] += 1
+                return values
+
+            with np.errstate(invalid="ignore"), pytest.raises(IterationDiverged) as info:
+                run(replace(clean, objective=objective))
+            got = info.value
+            assert (got.step, got.state.k) == (bad_step, bad_step), label
+            assert (got.state.t, got.state.s) == (state.t, state.s), label
+            assert_bitwise(got.state.p, state.p)
+            assert_bitwise(got.state.q, state.q)
+
+    def test_objective_must_return_one_value_per_row(self):
+        prob = lad_like(9)
+        per_point = replace(prob, objective=lambda x: float(np.abs(x).sum()))
+        with pytest.raises(ValueError, match="objective returned shape"):
+            solve(per_point, ConstantPolicy(1.0, 1.0), max_iter=5, tol=0.0)
 
 
 def retained_bytes(prob, policy, max_iter):

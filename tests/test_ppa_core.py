@@ -26,7 +26,7 @@ def small_problem(seed=0, m=12, n=8):
         f_prox=scaled_l1_prox(1.0),
         gstar_prox=shifted_l1_conjugate_prox(b),
         coupling=LinearMap(a),
-        objective=lambda x: float(np.abs(a @ x - b).sum() + np.abs(x).sum()),
+        objective=lambda xs: np.abs(xs @ a.T - b).sum(axis=1) + np.abs(xs).sum(axis=1),
     )
 
 
