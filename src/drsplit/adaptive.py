@@ -133,7 +133,7 @@ def adaptive_update(t: float, s: float, x, p, y, q, k: int,
     Raises
     ------
     ValueError
-        Naming t and s, unless t, s and t*s are finite and positive.
+        Naming t and s, unless they pass :func:`~drsplit.linalg.check_steps`.
     """
     check_steps(t, s)
     x = np.asarray(x, dtype=float)

@@ -13,6 +13,7 @@ usage error.
 import argparse
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -199,9 +200,6 @@ def _cmd_compare(args) -> int:
     unknown = sorted(set(names) - set(_POLICY_NAMES))
     if unknown:
         raise ValueError(f"unknown policies: {', '.join(unknown)}")
-    repeated = sorted({name for name in names if names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"repeated policies: {', '.join(repeated)}")
     policies = [_build_policy(name, args) for name in names]
     if args.grid > 0:
         grid = experiments.log_grid(args.grid_min, args.grid_max, args.grid)
@@ -209,6 +207,10 @@ def _cmd_compare(args) -> int:
             for s in grid:
                 names.append(f"constant_t{t:.3e}_s{s:.3e}")
                 policies.append(ConstantPolicy(float(t), float(s)))
+    # Each run writes <name>.csv, so a repeated name would overwrite a trace.
+    repeated = sorted(name for name, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise ValueError(f"repeated policies: {', '.join(repeated)}")
     traces = experiments.run_comparison(prob, policies, max_iter=args.max_iter,
                                         tol=args.tol, t0=args.t0, s0=args.s0)
     out_dir = Path(args.out_dir)

@@ -69,6 +69,7 @@ EIG_MAX_DIM = 500
 # the inverse once (see spd_solve); the default 200x100 LAD instances sit
 # near 200.
 REFINE_COND = 1e3
+_TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -128,8 +129,9 @@ class Schur:
 def check_steps(t: float, s: float, what: str = "stepsizes") -> None:
     """Reject stepsizes that do not define a Schur complement.
 
-    t, s and their product t*s must be finite and positive; anything else
-    raises ``ValueError`` naming ``what``, t and s.
+    t and s must be finite and positive and their product t*s finite;
+    anything else raises ``ValueError`` naming ``what``, t and s.  A product
+    that underflows to 0.0 is accepted: the Schur complement is then I.
     """
     if not (0.0 < t < math.inf and 0.0 < s < math.inf and t * s < math.inf):
         raise ValueError(f"{what} must be finite and positive, with a finite "
@@ -273,20 +275,22 @@ def eig_all(mat) -> np.ndarray:
 
 
 def scaled_norm(*vecs) -> float:
-    """Euclidean norm of 1-D float vectors stacked end to end, overflow-safe.
+    """Euclidean norm of 1-D float vectors stacked end to end, scale-safe.
 
     Takes ``math.sqrt`` of the sum of ``v.dot(v)`` in argument order; for one
     vector that is how ``np.linalg.norm`` computes it, bit for bit, without
-    its dispatch.  The squares overflow for finite vectors above about 1e154;
-    only when the sum is not finite are the vectors divided by their largest
-    magnitude and summed again, so the result overflows only where the norm
-    itself does; numpy's overflow warning from the first sum is left to the
-    caller's ``np.errstate``.  Returns inf or NaN if an entry is inf or NaN.
+    its dispatch.  The squares overflow above about 1e154 and underflow below
+    about 1e-162; only when the sum is not finite or below the smallest
+    normal float64 are the vectors divided by their largest magnitude and
+    summed again, so the result overflows only where the norm itself does
+    and is 0.0 only for zero vectors; numpy's overflow warning from the first
+    sum is left to the caller's ``np.errstate``.  Returns inf or NaN if an
+    entry is inf or NaN.
     """
     total = 0.0
     for v in vecs:
         total += v.dot(v)
-    if total < math.inf:
+    if _TINY <= total < math.inf:
         return math.sqrt(total)
     scale = float(np.max([np.abs(v).max(initial=0.0) for v in vecs]))
     if not 0.0 < scale < math.inf:

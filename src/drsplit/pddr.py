@@ -27,8 +27,8 @@ array for finiteness.  A non-finite prox output passes through the linear
 solve into the new shadow points, so the step residual of that same sweep
 is non-finite and ``solve`` raises :class:`IterationDiverged` with the
 sweep's index and the state it started from.  Stepsizes are checked where
-they enter, by one rule (:func:`~drsplit.linalg.check_steps`): t, s and t*s
-must be finite and positive.
+they enter, by one rule (:func:`~drsplit.linalg.check_steps`): t and s
+must be finite and positive, and t*s finite.
 
 The trace is columnar: each sweep appends its five scalars (k, objective,
 t, s, residual) to one growable float64 buffer, which :class:`SolveTrace`
@@ -208,8 +208,8 @@ def block_resolvent(r1, r2, t: float, s: float, coupling: Coupling):
     so the result depends only on r1, r2, t, s and K.  Returns
     ``(u, v, schur)``, ``schur`` being the factored complement used.
 
-    Raises ``ValueError`` naming t and s unless t, s and t*s are finite and
-    positive.
+    Raises ``ValueError`` naming t and s unless they pass
+    :func:`~drsplit.linalg.check_steps`.
     """
     check_steps(t, s)
     a = np.asarray(r1, dtype=float)
@@ -356,8 +356,9 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
     max_iter : int
         Iteration budget.
     tol : float
-        Stop when ``||(p+, q+) - (p, q)|| / max(1, ||(p, q)||) <= tol``.
-        Pass 0.0 to always run the full budget.
+        If positive, stop when
+        ``||(p+, q+) - (p, q)|| / max(1, ||(p, q)||) <= tol``.  Pass 0.0 to
+        always run the full budget.
     t0, s0 : float
         Starting stepsizes (policies may override via ``initial``).
     p0, q0 : array_like, optional
@@ -453,7 +454,7 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
             raise
         if len(starts) == height:
             fill_objectives()
-        if residual <= tol:
+        if 0.0 < tol and residual <= tol:
             break
     fill_objectives()
     return out.x, out.y, SolveTrace(np.frombuffer(record).reshape(-1, 5))

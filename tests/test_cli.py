@@ -107,6 +107,17 @@ class TestSpectrum:
         assert code == 1
         assert "numerical abort: iteration-matrix identity violated" in stderr
 
+    def test_ill_conditioned_valid_scan_exit_0(self, tmp_path, capsys):
+        # At this seed the closed form is far less accurate than the two-step
+        # matrix (a gap of 3.9e-9 between them), yet the residual of the
+        # closed-form equation is at roundoff: the scan is valid.
+        out = tmp_path / "scan.csv"
+        code, stdout, stderr = run(
+            ["spectrum", "--seed", "2186666259", "--out", str(out)], capsys)
+        assert code == 0, stderr
+        assert len(read_scan_csv(out).rows) == 400
+        assert "best radius" in stdout
+
     def test_eigen_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -186,6 +197,21 @@ class TestCompare:
              "--out-dir", str(out_dir)], capsys)
         assert code == 2
         assert "invalid configuration: repeated policies: ts-adaptive" in stderr
+        assert not out_dir.exists()
+
+    def test_repeated_grid_name_is_usage_error(self, tmp_path, capsys):
+        # Grid stepsizes that agree to four digits format to one run name;
+        # the check covers the grid runs too, before any solve.
+        out_dir = tmp_path / "runs"
+        code, stdout, stderr = run(
+            ["compare", "--problem", "lad", "--m", "20", "--n", "10",
+             "--max-iter", "5", "--grid", "3", "--grid-min", "1",
+             "--grid-max", "1.0001", "--policies", "constant",
+             "--out-dir", str(out_dir)], capsys)
+        assert code == 2
+        assert ("invalid configuration: repeated policies: "
+                "constant_t1.000e+00_s1.000e+00") in stderr
+        assert "final objective" not in stdout
         assert not out_dir.exists()
 
 
@@ -331,15 +357,21 @@ class TestNonFiniteSettings:
 
 
 class TestImportPath:
-    def test_lad_loads_no_scipy(self, tmp_path):
-        # scipy is loaded only for the TV factor and the spectral solves: a
-        # fresh interpreter that imports the package and the CLI and runs a
-        # short LAD solve leaves no scipy module behind.
+    @pytest.mark.parametrize("argv", [
+        ["lad", "--max-iter", "5", "--out", "{tmp}/t.csv"],
+        ["spectrum", "--half-dim", "3", "--grid", "3", "--out", "{tmp}/t.csv",
+         "--plot", "{tmp}/t.svg"],
+    ], ids=["lad", "spectrum"])
+    def test_command_loads_no_scipy(self, tmp_path, argv):
+        # scipy is loaded only for the TV factor: a fresh interpreter that
+        # imports the package and the CLI and runs a short LAD solve or a
+        # small spectral scan with its plot leaves no scipy module behind.
         out = tmp_path / "t.csv"
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         code = (
             "import sys\n"
             "import drsplit, drsplit.cli\n"
-            f"assert drsplit.cli.main(['lad', '--max-iter', '5', '--out', {str(out)!r}]) == 0\n"
+            f"assert drsplit.cli.main({argv!r}) == 0\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         src = str(Path(drsplit.__file__).resolve().parents[1])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -284,6 +285,17 @@ class TestScaledNorm:
             assert scaled_norm(v) == pytest.approx(1e301, rel=1e-14)
         with pytest.warns(RuntimeWarning, match="overflow"):
             assert scaled_norm(np.full(4, 1e160), np.zeros(3)) == pytest.approx(2e160, rel=1e-14)
+
+    def test_no_underflow_for_nonzero_vectors(self):
+        # The squares underflow, to 0 or to subnormals; the rescaled second
+        # sum gives the norm.
+        assert scaled_norm(np.full(3, 1e-170)) == pytest.approx(np.sqrt(3) * 1e-170, rel=1e-14)
+        assert scaled_norm(np.full(4, 1e-160), np.zeros(3)) == pytest.approx(2e-160, rel=1e-14)
+        assert scaled_norm(np.zeros(2), np.array([0.0, 5e-324])) == 5e-324
+
+    def test_normal_sums_keep_plain_bits(self):
+        for v in (np.full(3, 1e-150), np.array([1e-154, 3e-170]), np.arange(5.0)):
+            assert scaled_norm(v) == math.sqrt(v.dot(v))
 
     def test_nonfinite_and_zero(self):
         assert scaled_norm(np.zeros(3), np.empty(0)) == 0.0

@@ -462,6 +462,24 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             initial_state(prob, 1.0, 1.0, **{name: start})
 
+    def test_zero_tol_runs_full_budget_on_zero_residual(self):
+        # At zero data from the zero start every sweep stays at 0, so every
+        # residual is exactly 0; tol = 0.0 still runs the whole budget.
+        a, _ = lad_data(3)
+        prob = make_lad_problem(a, np.zeros(a.shape[0]), 1.0)
+        _, _, trace = solve(prob, ConstantPolicy(1.0, 1.0), max_iter=100, tol=0.0)
+        assert len(trace) == 100
+        assert not trace.column("residual").any()
+
+    def test_tiny_steps_move_with_nonzero_residual(self):
+        # t*s underflows to 0.0 (accepted: the Schur complement is I) and the
+        # squared step underflows too; the residual must still see y move.
+        _, prob = gen_lad(0, 20, 10, 1.0)
+        _, y, trace = solve(prob, ConstantPolicy(1e-200, 1e-200), max_iter=5, tol=0.0)
+        assert len(trace) == 5
+        assert np.any(y)
+        assert np.all(trace.column("residual") > 0.0)
+
     def test_overflowing_step_product_rejected(self):
         # Each stepsize is finite, their product is not: a usage error naming
         # both, not a non-finite Schur complement.

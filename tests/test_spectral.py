@@ -113,6 +113,33 @@ class TestIterationMatrix:
             with pytest.raises(IdentityCheckError, match="gap nan"):
                 iteration_matrix(big * np.eye(3), b, np.ones(3))
 
+    def test_planted_error_in_h_raises(self, monkeypatch):
+        # Move every entry of the second solve's result, h, by
+        # 1e-8 * max|h| with random signs: far above roundoff, and the
+        # residual check must reject it at every pair of a small scan.
+        rng = np.random.default_rng(63)
+        plain_solve = np.linalg.solve
+        calls = []
+
+        def planted_solve(lhs, rhs):
+            x = plain_solve(lhs, rhs)
+            calls.append(None)
+            if len(calls) % 2 == 0:
+                x = x + 1e-8 * np.abs(x).max() * rng.choice([-1.0, 1.0], size=x.shape)
+            return x
+
+        pair = gen_monotone_pair(4, half_dim=5)
+        a, b = pair.block_diag_half(), pair.skew_half()
+        grid = log_grid(1e-3, 1e3, 5)
+        monkeypatch.setattr(np.linalg, "solve", planted_solve)
+        for t in grid:
+            for s in grid:
+                d = np.concatenate([np.full(5, t), np.full(5, s)])
+                with pytest.raises(IdentityCheckError,
+                                   match="iteration-matrix identity violated: gap"):
+                    iteration_matrix(a, b, d)
+        assert len(calls) == 2 * grid.size ** 2
+
     def test_singular_resolvent_raises(self):
         # a = -I at delta = 1 makes I + DA the zero matrix.
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
