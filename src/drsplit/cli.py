@@ -7,7 +7,11 @@ several policies on one instance.  The fully resolved configuration
 (defaults included) is echoed to stderr before any computation.
 
 Exit codes: 0 on success, 1 on a numerical abort or I/O failure, 2 on a
-usage error.
+usage error.  A numerical abort is a diverged iterate, an iteration matrix
+that fails its identity check, or a failed factorization, linear solve or
+eigenvalue decomposition (``np.linalg.LinAlgError``).  Commands run with
+numpy's overflow, invalid and divide warnings off, so a run that overflows
+reports its abort on one line, with no numpy warning before it.
 """
 
 import argparse
@@ -20,18 +24,13 @@ import numpy as np
 
 from . import experiments, pddr, report, spectral
 from .adaptive import AdaptiveConfig, ConstantPolicy, TAdaptivePolicy, TsAdaptivePolicy
-from .linalg import EigenConvergenceError, NotPositiveDefiniteError
 from .ppa_core import IterationDiverged
 
 __all__ = ["main"]
 
-_NUMERICAL_ERRORS = (
-    IterationDiverged,
-    EigenConvergenceError,
-    spectral.IdentityCheckError,
-    NotPositiveDefiniteError,
-    np.linalg.LinAlgError,
-)
+# np.linalg.LinAlgError covers every failed factorization, solve or
+# eigenvalue iteration; it subclasses ValueError, so it is caught first.
+_NUMERICAL_ERRORS = (IterationDiverged, spectral.IdentityCheckError, np.linalg.LinAlgError)
 
 _POLICY_NAMES = ("constant", "t-adaptive", "ts-adaptive")
 
@@ -211,10 +210,11 @@ def _cmd_compare(args) -> int:
     repeated = sorted(name for name, count in Counter(names).items() if count > 1)
     if repeated:
         raise ValueError(f"repeated policies: {', '.join(repeated)}")
-    traces = experiments.run_comparison(prob, policies, max_iter=args.max_iter,
-                                        tol=args.tol, t0=args.t0, s0=args.s0)
+    # Made before the runs, so an unusable directory fails before any solve.
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    traces = experiments.run_comparison(prob, policies, max_iter=args.max_iter,
+                                        tol=args.tol, t0=args.t0, s0=args.s0)
     for name, trace in zip(names, traces):
         report.write_trace_csv(trace, out_dir / f"{name}.csv")
     if args.plot:
@@ -229,7 +229,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _echo_config(args)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except _NUMERICAL_ERRORS as err:
         print(f"numerical abort: {err}", file=sys.stderr)
         return 1

@@ -5,10 +5,13 @@ materialized densely, at desk scale (a few hundred rows); the one structured
 operator, :class:`DifferenceMap`, is applied by slicing and has no dense
 matrix to build, so it scales to millions of samples.  The routines here
 wrap LAPACK through numpy and add the dimension, symmetry, and definiteness
-checks the callers rely on.  scipy is imported only where numpy has no
-equivalent, inside the function that needs it: the tridiagonal factor of
-:class:`DifferenceMap`, and the pivot index of a failed dense Cholesky
-factorization.  Importing this module loads no scipy.
+checks the callers rely on.  scipy is imported in one place, where numpy has
+no equivalent: the tridiagonal factor of :class:`DifferenceMap`, on its
+first factorization.  Importing this module loads no scipy.
+
+A factorization or eigenvalue iteration that fails raises numpy's own
+``np.linalg.LinAlgError``, whether numpy or LAPACK through scipy detected
+it; this module defines no exception types.
 
 A coupling operator (any :class:`Coupling`) is four members: ``shape``,
 ``matvec``, ``rmatvec`` and ``schur``.  It owns the solve with its Schur
@@ -43,10 +46,7 @@ import numpy as np
 __all__ = [
     "Coupling",
     "DifferenceMap",
-    "EigenConvergenceError",
     "LinearMap",
-    "NotPositiveDefiniteError",
-    "NotPsdError",
     "Schur",
     "SpdFactor",
     "check_diagonal",
@@ -72,24 +72,6 @@ REFINE_COND = 1e3
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
 
 
-class NotPositiveDefiniteError(ValueError):
-    """Cholesky pivot failure; ``pivot`` is the 0-based index that failed."""
-
-    def __init__(self, pivot: int):
-        super().__init__(
-            f"matrix is not positive definite (nonpositive pivot at index {pivot})"
-        )
-        self.pivot = pivot
-
-
-class NotPsdError(ValueError):
-    """A quadratic form came out negative beyond roundoff."""
-
-
-class EigenConvergenceError(RuntimeError):
-    """The QR eigenvalue iteration failed to converge."""
-
-
 def _square(mat, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(mat, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -103,15 +85,14 @@ def _square(mat, name: str = "matrix") -> np.ndarray:
 class SpdFactor:
     """A symmetric positive definite matrix S, factored for solves.
 
-    ``matrix`` is S itself, ``lower`` its lower-triangular Cholesky factor,
-    which certifies S as positive definite, and ``inverse`` is
-    ``np.linalg.inv(S)``.  ``refine`` is set when S's 1-norm condition
-    number exceeds ``REFINE_COND``, and then :func:`spd_solve` refines once.
+    ``matrix`` is S itself, certified positive definite by a Cholesky
+    factorization, and ``inverse`` is ``np.linalg.inv(S)``.  ``refine`` is
+    set when S's 1-norm condition number exceeds ``REFINE_COND``, and then
+    :func:`spd_solve` refines once.
     """
 
     dim: int
     matrix: np.ndarray
-    lower: np.ndarray
     inverse: np.ndarray
     refine: bool
 
@@ -155,12 +136,10 @@ def check_diagonal(diag, size: int, what: str) -> np.ndarray:
 def spd_factor(s_mat) -> SpdFactor:
     """Factor a symmetric positive definite matrix for :func:`spd_solve`.
 
-    Takes the Cholesky factor with ``np.linalg.cholesky``, which also decides
-    positive definiteness, and then the inverse with ``np.linalg.inv``: one
+    Decides positive definiteness with ``np.linalg.cholesky``, whose factor
+    is then discarded, and takes the inverse with ``np.linalg.inv``: one
     factorization costs both, and every solve after it is one matrix-vector
     product, or three for an ill-conditioned matrix (see :func:`spd_solve`).
-    Only when the Cholesky factorization fails is LAPACK's ``dpotrf``
-    imported from scipy, to name the failing pivot.
 
     Parameters
     ----------
@@ -170,15 +149,15 @@ def spd_factor(s_mat) -> SpdFactor:
     Returns
     -------
     SpdFactor
-        Factor with ``lower @ lower.T`` reproducing ``s_mat`` to relative
-        1e-12; ``matrix`` is the checked ``s_mat``, ``inverse`` its inverse,
-        and ``refine`` whether its 1-norm condition number exceeds
+        ``matrix`` is a copy of the checked ``s_mat``, ``inverse`` its
+        inverse, and ``refine`` whether its 1-norm condition number exceeds
         ``REFINE_COND``.
 
     Raises
     ------
-    NotPositiveDefiniteError
-        If a pivot is nonpositive; carries the failing 0-based index.
+    numpy.linalg.LinAlgError
+        If the matrix is not positive definite (a Cholesky pivot is
+        nonpositive).
     ValueError
         If the input is not square, not finite or not symmetric.
     """
@@ -186,21 +165,13 @@ def spd_factor(s_mat) -> SpdFactor:
     scale = float(np.abs(s).max()) if s.size else 0.0
     if scale > 0.0 and float(np.abs(s - s.T).max()) > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric")
-    try:
-        lower = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        from scipy.linalg.lapack import dpotrf
-
-        info = dpotrf(s, lower=1)[1]
-        # numpy and scipy each call OpenBLAS's dpotrf; should their builds
-        # ever disagree at the boundary, the last pivot is named.
-        raise NotPositiveDefiniteError(info - 1 if info > 0 else s.shape[0] - 1) from None
+    np.linalg.cholesky(s)  # raises LinAlgError unless s is positive definite
     inverse = np.linalg.inv(s)
     cond = (float(np.abs(s).sum(axis=0).max(initial=0.0))
             * float(np.abs(inverse).sum(axis=0).max(initial=0.0)))
     # A copy, so that a caller who later writes into s_mat cannot change it.
-    return SpdFactor(dim=s.shape[0], matrix=s.copy(), lower=lower,
-                     inverse=inverse, refine=cond > REFINE_COND)
+    return SpdFactor(dim=s.shape[0], matrix=s.copy(), inverse=inverse,
+                     refine=cond > REFINE_COND)
 
 
 def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
@@ -241,18 +212,21 @@ def _dense_eig(routine, mat):
     """Run a numpy eigenroutine on a dense real square matrix.
 
     Checks what both entry points promise: a square, finite matrix no larger
-    than ``EIG_MAX_DIM``, and a failed QR iteration reported as
-    :class:`EigenConvergenceError`.
+    than ``EIG_MAX_DIM``.
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not square, not finite or too large.
+    numpy.linalg.LinAlgError
+        If the QR iteration fails to converge, as numpy raises it.
     """
     a = _square(mat)
     if a.shape[0] > EIG_MAX_DIM:
         raise ValueError(
             f"matrix dimension {a.shape[0]} exceeds the supported {EIG_MAX_DIM}"
         )
-    try:
-        return routine(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
+    return routine(a)
 
 
 def eig_pairs(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -307,7 +281,8 @@ def seminorm(u, mat) -> float:
 
     Accepts real or complex ``u`` (the pairing is conjugate-bilinear).  Tiny
     negative quadratic forms, down to -1e-12 * ||u||^2, are clamped to zero;
-    anything below that raises :class:`NotPsdError`.
+    anything below that raises ``ValueError``, as does a metric that is not
+    square or does not match ``u``.
     """
     vec = np.asarray(u)
     m = np.asarray(mat, dtype=float)
@@ -320,7 +295,7 @@ def seminorm(u, mat) -> float:
     quad = float(np.real(np.vdot(vec, m @ vec)))
     sq = float(np.real(np.vdot(vec, vec)))
     if quad < -PSD_CLAMP * sq:
-        raise NotPsdError(f"metric is not positive semidefinite: <Mu,u> = {quad}")
+        raise ValueError(f"metric is not positive semidefinite: <Mu,u> = {quad}")
     return math.sqrt(max(quad, 0.0))
 
 
@@ -439,7 +414,8 @@ class DifferenceMap:
 
     def schur(self, ts: float) -> Schur:
         """Tridiagonal LDLᵀ factor of ``I + ts*DD'``; the last one is kept
-        while ``ts`` is bitwise the same."""
+        while ``ts`` is bitwise the same.  A ``ts`` for which the complement
+        is not positive definite raises ``np.linalg.LinAlgError``."""
         if self._schur is None or self._schur.ts != ts:
             if not math.isfinite(ts):
                 raise ValueError(f"Schur complement has non-finite entries (ts={ts})")
@@ -451,11 +427,10 @@ class DifferenceMap:
             d, e, info = dpttrf(np.full(rows, 1.0 + 2.0 * ts),
                                 np.full(max(rows - 1, 1), -ts),
                                 overwrite_d=1, overwrite_e=1)
+            # info > 0 names a nonpositive pivot; the only argument dpttrf
+            # checks is n >= 0, which rows >= 1 meets, so info is never < 0.
             if info > 0:
-                raise NotPositiveDefiniteError(info - 1)
-            if info < 0:
-                raise ValueError(
-                    f"illegal value in argument {-info} of tridiagonal factor call")
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
 
             def solve(rhs):
                 # Like spd_solve, scans nothing for finiteness.  dpttrs takes

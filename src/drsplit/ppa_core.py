@@ -6,6 +6,7 @@ deficient; progress is measured in the M_k seminorm, which is exactly the
 quantity that vanishes along the iteration.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -74,7 +75,7 @@ def proximal_point(u0, resolvent: PreconditionedResolvent, max_iter: int,
     max_iter : int
         Iteration budget (at least 1).
     tol : float
-        Positive stopping threshold on the metric residual
+        Finite, positive stopping threshold on the metric residual
         ``||u_{k+1} - u_k||_{M_k}``.
 
     Returns
@@ -87,11 +88,14 @@ def proximal_point(u0, resolvent: PreconditionedResolvent, max_iter: int,
     IterationDiverged
         If an iterate contains NaN or Inf; the error carries the step index
         and the last finite iterate.
+    ValueError
+        If ``max_iter`` is below 1, ``tol`` is not finite and positive, or
+        a metric is not positive semidefinite.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     u = np.asarray(u0, dtype=float).copy()
     rows: list[PPARecord] = []
     for k in range(max_iter):

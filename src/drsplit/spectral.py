@@ -24,7 +24,6 @@ __all__ = [
     "ScanRow",
     "SpectralRecord",
     "SpectralReport",
-    "UnboundedStepsizeError",
     "best_row",
     "disc_report",
     "dr_update_matrix",
@@ -50,10 +49,6 @@ IDENTITY_RTOL = 1e-13
 class IdentityCheckError(RuntimeError):
     """The iteration matrix fails its closed-form residual check (see
     :func:`iteration_matrix`), or the residual is NaN or the bound overflows."""
-
-
-class UnboundedStepsizeError(ValueError):
-    """The locally optimal stepsize is unbounded (zero curvature direction)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,7 +270,7 @@ def optimal_local_stepsizes(z1, z2, block_one, block_two_inv) -> tuple[float, fl
 
     Raises
     ------
-    UnboundedStepsizeError
+    ValueError
         If either block annihilates its vector, in which case the ratio
         keeps improving as that stepsize grows without bound.
     """
@@ -286,7 +281,7 @@ def optimal_local_stepsizes(z1, z2, block_one, block_two_inv) -> tuple[float, fl
     den1 = float(np.linalg.norm(np.asarray(block_one) @ v1))
     den2 = float(np.linalg.norm(np.asarray(block_two_inv) @ v2))
     if den1 == 0.0 or den2 == 0.0:
-        raise UnboundedStepsizeError("unbounded optimal stepsize: block maps vector to zero")
+        raise ValueError("unbounded optimal stepsize: block maps vector to zero")
     return num1 / den1, num2 / den2
 
 

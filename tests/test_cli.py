@@ -127,7 +127,7 @@ class TestSpectrum:
             ["spectrum", "--half-dim", "3", "--grid", "2",
              "--out", str(tmp_path / "scan.csv")], capsys)
         assert code == 1
-        assert "numerical abort: eigenvalue iteration failed" in stderr
+        assert "numerical abort: Eigenvalues did not converge" in stderr
 
 
 class TestCompare:
@@ -160,6 +160,19 @@ class TestCompare:
         assert code == 0
         text = svg.read_text()
         assert ">ts-adaptive</text>" in text
+
+    def test_unusable_out_dir_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_comparison called before the out dir was made")
+
+        monkeypatch.setattr(experiments, "run_comparison", never)
+        taken = tmp_path / "runs"
+        taken.write_text("")
+        code, _, stderr = run(
+            ["compare", "--problem", "lad", "--m", "20", "--n", "10",
+             "--max-iter", "5", "--out-dir", str(taken)], capsys)
+        assert code == 1
+        assert "i/o failure" in stderr
 
     def test_single_policy_flag_is_not_accepted(self, tmp_path, capsys):
         # compare runs --policies; a --policy it would ignore is an argparse
@@ -276,6 +289,34 @@ class TestExitCodes:
         assert code == 1
         assert "numerical abort" in stderr
         assert "step 7" in stderr
+
+    def test_failed_factorization_exit_1(self, tmp_path, capsys, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        out = tmp_path / "t.csv"
+        code, _, stderr = run(
+            ["lad", "--m", "20", "--n", "10", "--max-iter", "5",
+             "--out", str(out)], capsys)
+        assert code == 1
+        assert stderr.splitlines()[1:] == [
+            "numerical abort: Matrix is not positive definite"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--half-dim", "1", "--grid", "2", "--grid-min", "1e-300",
+         "--grid-max", "1e300"],
+        ["tv", "--noise", "1e300", "--max-iter", "5"],
+    ], ids=["spectrum", "tv"])
+    def test_overflow_aborts_on_one_line(self, tmp_path, capsys, argv):
+        # No np.errstate here: the suite turns warnings into errors, so a
+        # numpy overflow warning escaping the command would fail the test.
+        code, _, stderr = run(argv + ["--out", str(tmp_path / "t.csv")], capsys)
+        assert code == 1
+        lines = stderr.splitlines()
+        assert lines[0].startswith("resolved config: ")
+        assert len(lines) == 2 and lines[1].startswith("numerical abort: ")
 
     def test_missing_subcommand_is_argparse_exit(self, capsys):
         with pytest.raises(SystemExit) as info:

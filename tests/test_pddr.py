@@ -274,7 +274,7 @@ class TestBlockResolvent:
         op = LinearMap(kmat)
         rows, cols = shape
         r1, r2 = rng.standard_normal(cols), rng.standard_normal(rows)
-        lower = linalg.spd_factor(np.eye(op.gram.shape[0]) + t * s * op.gram).lower
+        lower = np.linalg.cholesky(np.eye(op.gram.shape[0]) + t * s * op.gram)
         if rows < cols:
             v_ref = cho_solve((lower, True), r2 + s * (kmat @ r1))
             u_ref = r1 - t * (kmat.T @ v_ref)
@@ -359,7 +359,7 @@ class TestSweep:
         # A non-finite prox output on either side, in the first entry only,
         # must end the run with IterationDiverged at that sweep, carrying
         # the finite state the sweep started from: never a ValueError or
-        # NotPositiveDefiniteError from the linear solve below the prox.
+        # LinAlgError from the linear solve below the prox.
         prob = with_bad_prox(lad_like(13), side, bad, after=7)
         with np.errstate(invalid="ignore"), pytest.raises(IterationDiverged) as info:
             solve(prob, policy, max_iter=50, tol=0.0)

@@ -76,8 +76,9 @@ class TestEngine:
                                       metric=lambda k: np.eye(1))
         with pytest.raises(ValueError):
             proximal_point(np.ones(1), res, max_iter=0, tol=1e-6)
-        with pytest.raises(ValueError):
-            proximal_point(np.ones(1), res, max_iter=5, tol=0.0)
+        for tol in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="tol"):
+                proximal_point(np.ones(1), res, max_iter=5, tol=tol)
 
     def test_trace_helpers(self):
         res = PreconditionedResolvent(apply=lambda u, k: 0.5 * u,

@@ -8,7 +8,6 @@ from drsplit.experiments import gen_monotone_pair, log_grid
 from drsplit.spectral import (
     IdentityCheckError,
     LinearMonotonePair,
-    UnboundedStepsizeError,
     disc_report,
     dr_update_matrix,
     iteration_matrix,
@@ -296,7 +295,7 @@ class TestOptimalStepsizes:
     def test_unbounded_raises(self):
         a1 = np.array([[1.0, 0.0], [0.0, 0.0]])
         z1 = np.array([0.0, 1.0])
-        with pytest.raises(UnboundedStepsizeError):
+        with pytest.raises(ValueError, match="unbounded optimal stepsize"):
             optimal_local_stepsizes(z1, np.ones(1), a1, np.eye(1))
 
 
