@@ -17,19 +17,21 @@ A coupling operator (any :class:`Coupling`) is four members: ``shape``,
 ``matvec``, ``rmatvec`` and ``schur``.  It owns the solve with its Schur
 complement ``I + ts*KK'`` or ``I + ts*K'K``: its ``schur(ts)`` returns the
 factored complement for exactly that ``ts`` (a :class:`Schur`): for a
-general K a Cholesky-checked dense inverse, applied as one matrix-vector
-product (refined once when ill-conditioned), and for forward differences a
-tridiagonal LDLᵀ (``dpttrf``/``dpttrs``), O(n).  The coupling keeps the
-last one and refactors whenever ``ts`` changes in any bit, so a solve
-depends only on K and ``ts``, never on which products were factored
-before.
+general K a dense inverse, built from the Gram matrix's eigendecomposition
+(computed once per operator) with one matrix product per ``ts`` and applied
+as one matrix-vector product (refined once when ill-conditioned), and for
+forward differences a tridiagonal LDLᵀ (``dpttrf``/``dpttrs``), O(n).  The
+coupling keeps the last one and refactors whenever ``ts`` changes in any
+bit, so a solve depends only on K and ``ts``, never on which products were
+factored before.
 
 Eigenvectors are computed only where they are used, by :func:`eig_pairs`
 (the spectral disc report); spectral radii and stepsize scans call
 :func:`eig_all`, which computes eigenvalues only.
 
 Matrices are checked for finiteness where they are factored or
-decomposed, once.  :func:`spd_solve` runs inside every solver sweep and
+decomposed, once; a dense Schur factor checks its scaled eigenvalues
+``ts*lam`` instead.  :func:`spd_solve` runs inside every solver sweep and
 scans nothing: a non-finite right-hand side comes back as a non-finite
 solution, and the solver detects the divergence afterwards, from its step
 residual (see :mod:`drsplit.pddr`).
@@ -59,40 +61,29 @@ __all__ = [
     "spd_solve",
 ]
 
-# Relative tolerance used to accept a matrix as symmetric.
-SYMMETRY_RTOL = 1e-10
 # Quadratic forms down to -PSD_CLAMP * ||u||^2 are treated as roundoff.
 PSD_CLAMP = 1e-12
 # Guard against accidentally feeding the dense eigensolver a huge matrix.
 EIG_MAX_DIM = 500
-# Above this 1-norm condition number an SPD solve refines its product with
+# Above this 2-norm condition number an SPD solve refines its product with
 # the inverse once (see spd_solve); the default 200x100 LAD instances sit
-# near 200.
+# near 30.
 REFINE_COND = 1e3
 _TINY = float(np.finfo(np.float64).tiny)  # smallest normal float64
-
-
-def _square(mat, name: str = "matrix") -> np.ndarray:
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class SpdFactor:
     """A symmetric positive definite matrix S, factored for solves.
 
-    ``matrix`` is S itself, certified positive definite by a Cholesky
-    factorization, and ``inverse`` is ``np.linalg.inv(S)``.  ``refine`` is
-    set when S's 1-norm condition number exceeds ``REFINE_COND``, and then
-    :func:`spd_solve` refines once.
+    ``inverse`` is the inverse of S, built by :func:`spd_factor` from an
+    eigendecomposition.  ``refine`` is set when S's 2-norm condition number
+    exceeds ``REFINE_COND``, and then :func:`spd_solve` refines once with
+    ``matrix``, S itself; otherwise ``matrix`` is None.
     """
 
     dim: int
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     inverse: np.ndarray
     refine: bool
 
@@ -133,45 +124,54 @@ def check_diagonal(diag, size: int, what: str) -> np.ndarray:
     return d
 
 
-def spd_factor(s_mat) -> SpdFactor:
-    """Factor a symmetric positive definite matrix for :func:`spd_solve`.
+def spd_factor(gram, eig, ts: float) -> SpdFactor:
+    """Factor ``S = I + ts*gram`` for :func:`spd_solve`, from ``gram``'s
+    eigendecomposition.
 
-    Decides positive definiteness with ``np.linalg.cholesky``, whose factor
-    is then discarded, and takes the inverse with ``np.linalg.inv``: one
-    factorization costs both, and every solve after it is one matrix-vector
-    product, or three for an ill-conditioned matrix (see :func:`spd_solve`).
+    ``eig`` is ``(lam, vecs) = np.linalg.eigh(gram)``, computed once per Gram
+    matrix; a caller that factors S for many products ``ts`` pays for it
+    once.  With ``d = 1 + ts*lam``, the inverse of S is ``(vecs / d) @
+    vecs.T``: one matrix product, with no factorization.  The same ``d``
+    decides definiteness and gives the exact 2-norm condition number of S,
+    ``max(d) / min(d)``; only when that exceeds ``REFINE_COND`` is S itself
+    formed, for the refinement step of :func:`spd_solve`.  Every solve is
+    one matrix-vector product, or three for an ill-conditioned S.
 
     Parameters
     ----------
-    s_mat : (d, d) array_like
-        Symmetric (to relative 1e-10) positive definite matrix.
+    gram : (d, d) ndarray
+        Symmetric matrix, finite; read only when S is formed.
+    eig : tuple of (d,) and (d, d) ndarrays
+        ``np.linalg.eigh(gram)``.
+    ts : float
+        The multiplier of ``gram`` in S.
 
     Returns
     -------
     SpdFactor
-        ``matrix`` is a copy of the checked ``s_mat``, ``inverse`` its
-        inverse, and ``refine`` whether its 1-norm condition number exceeds
-        ``REFINE_COND``.
+        ``inverse`` is the inverse of S, ``refine`` whether its condition
+        number exceeds ``REFINE_COND``, and ``matrix`` S when ``refine`` is
+        set, else None.
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If the matrix is not positive definite (a Cholesky pivot is
-        nonpositive).
+        If S is not positive definite (some ``1 + ts*lam`` is nonpositive).
     ValueError
-        If the input is not square, not finite or not symmetric.
+        If ``ts*lam`` has a non-finite entry.
     """
-    s = _square(s_mat)
-    scale = float(np.abs(s).max()) if s.size else 0.0
-    if scale > 0.0 and float(np.abs(s - s.T).max()) > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric")
-    np.linalg.cholesky(s)  # raises LinAlgError unless s is positive definite
-    inverse = np.linalg.inv(s)
-    cond = (float(np.abs(s).sum(axis=0).max(initial=0.0))
-            * float(np.abs(inverse).sum(axis=0).max(initial=0.0)))
-    # A copy, so that a caller who later writes into s_mat cannot change it.
-    return SpdFactor(dim=s.shape[0], matrix=s.copy(), inverse=inverse,
-                     refine=cond > REFINE_COND)
+    lam, vecs = eig
+    # An overflow or inf*0 is reported below, as the ValueError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = ts * lam
+    if not np.all(np.isfinite(scaled)):
+        raise ValueError(f"Schur complement has non-finite entries (ts={ts})")
+    d = 1.0 + scaled
+    if np.any(d <= 0.0):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    refine = bool(d.size) and d.max() / d.min() > REFINE_COND
+    return SpdFactor(dim=d.size, matrix=np.eye(d.size) + ts * gram if refine else None,
+                     inverse=(vecs / d) @ vecs.T, refine=refine)
 
 
 def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
@@ -182,8 +182,9 @@ def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
     ``rhs`` lies along the large eigenvalues of S, which is where the
     solver's right-hand sides point at large t*s.  So when ``factor.refine``
     is set (condition number above ``REFINE_COND``) the solve refines once,
-    to ``x + inverse @ (rhs - S @ x)``, three products in all, which is as
-    accurate as triangular solves with the Cholesky factor.
+    to ``x + inverse @ (rhs - S @ x)``, three products in all, which keeps
+    it within twice the residual of triangular solves with a Cholesky factor
+    of S.
 
     Scans nothing for finiteness: a factor from :func:`spd_factor` is
     finite, and a non-finite ``rhs`` gives a non-finite solution rather
@@ -221,7 +222,11 @@ def _dense_eig(routine, mat):
     numpy.linalg.LinAlgError
         If the QR iteration fails to converge, as numpy raises it.
     """
-    a = _square(mat)
+    a = np.asarray(mat, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
     if a.shape[0] > EIG_MAX_DIM:
         raise ValueError(
             f"matrix dimension {a.shape[0]} exceeds the supported {EIG_MAX_DIM}"
@@ -351,23 +356,35 @@ class LinearMap:
         return self.mat.T @ v
 
     # Cached: the solver refactors I + ts*gram many times while stepsizes
-    # move, and the product itself never changes.
+    # move, and the Gram matrix and its eigendecomposition never change.
     @cached_property
     def gram(self) -> np.ndarray:
         """The Gram matrix of the side :meth:`schur` factors, cached:
-        ``KK'`` when rows < cols, ``K'K`` otherwise."""
+        ``KK'`` when rows < cols, ``K'K`` otherwise.  :meth:`schur` reads
+        its eigendecomposition, :attr:`gram_eig`, and reads the matrix
+        itself only to form an ill-conditioned complement for refinement."""
         rows, cols = self.mat.shape
         if rows < cols:
             return self.mat @ self.mat.T
         return self.mat.T @ self.mat
 
+    @cached_property
+    def gram_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh(gram)``, cached: one eigendecomposition per
+        operator, from which :meth:`schur` factors every ``ts``.  Raises
+        ``ValueError`` if the Gram matrix overflowed."""
+        gram = self.gram
+        if not np.all(np.isfinite(gram)):
+            raise ValueError("Gram matrix has non-finite entries")
+        return np.linalg.eigh(gram)
+
     def schur(self, ts: float) -> Schur:
         """``I + ts*KK'`` (rows < cols) or ``I + ts*K'K`` (otherwise),
-        factored by :func:`spd_factor` and solved by :func:`spd_solve`; the
-        last one is kept while ``ts`` is bitwise the same."""
+        factored by :func:`spd_factor` from :attr:`gram_eig`, one matrix
+        product per ``ts``, and solved by :func:`spd_solve`; the last one is
+        kept while ``ts`` is bitwise the same."""
         if self._schur is None or self._schur.ts != ts:
-            gram = self.gram
-            factor = spd_factor(np.eye(gram.shape[0]) + ts * gram)
+            factor = spd_factor(self.gram, self.gram_eig, ts)
             self._schur = Schur(ts, lambda rhs: spd_solve(factor, rhs))
         return self._schur
 

@@ -13,10 +13,14 @@ and the candidate solution is the shadow pair (x, y).  The proxes are plain
 callables ``(point, step) -> array``, called as given.  The linear solve goes
 through the Schur complement, and the coupling operator alone owns it: its
 ``schur(t*s)`` (see :class:`~drsplit.linalg.Coupling`) returns, for a
-general K, a dense Cholesky-checked inverse that a solve applies as one
-matrix-vector product, refined once when ill-conditioned
+general K, a dense inverse that a solve applies as one matrix-vector
+product, refined once when ill-conditioned
 (:func:`~drsplit.linalg.spd_solve`), and for forward differences a
-tridiagonal LDLᵀ (``dpttrf``/``dpttrs``), O(n).  The coupling keeps its last factor and
+tridiagonal LDLᵀ (``dpttrf``/``dpttrs``), O(n).  The dense inverse is one
+matrix product per t*s with the eigendecomposition of the Gram matrix,
+which the operator computes once (:func:`~drsplit.linalg.spd_factor`), so
+an adaptive warm-up that moves t*s on every sweep pays one product per
+move, not a factorization.  The coupling keeps its last factor and
 refactors whenever t*s changes in any bit, so a constant-stepsize run
 factors exactly once and a sweep's output depends only on (p, q, t, s, K).
 Nothing here holds factor state.

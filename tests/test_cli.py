@@ -294,7 +294,7 @@ class TestExitCodes:
         def fail(a):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr(np.linalg, "cholesky", fail)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         out = tmp_path / "t.csv"
         code, _, stderr = run(
             ["lad", "--m", "20", "--n", "10", "--max-iter", "5",

@@ -24,39 +24,54 @@ def random_spd(rng, dim, shift=1.0):
     return g.T @ g + shift * np.eye(dim)
 
 
+def factor(gram, ts=1.0):
+    """spd_factor of I + ts*gram, from gram's eigendecomposition."""
+    return spd_factor(gram, np.linalg.eigh(gram), ts)
+
+
 class TestSpdFactor:
     def test_identity(self):
-        fac = spd_factor(np.eye(3))
-        np.testing.assert_array_equal(fac.inverse, np.eye(3))
+        # A zero Gram matrix gives S = I for every ts.
+        for ts in (0.0, 1.0, 1e300):
+            fac = factor(np.zeros((3, 3)), ts)
+            np.testing.assert_array_equal(fac.inverse, np.eye(3))
 
     def test_diagonal(self):
         # Powers of two invert exactly.
-        fac = spd_factor(np.diag([4.0, 0.5]))
+        fac = factor(np.diag([3.0, -0.5]))
         np.testing.assert_array_equal(fac.inverse, np.diag([0.25, 2.0]))
 
     def test_multiply_back(self):
-        # The inverse times the input is the identity to 1e-12.
+        # The inverse times S is the identity to 1e-12.
         rng = np.random.default_rng(101)
         for _ in range(5):
             s = random_spd(rng, 20)
-            fac = spd_factor(s)
+            fac = factor(s - np.eye(20))
             np.testing.assert_allclose(fac.inverse @ s, np.eye(20), rtol=0, atol=1e-12)
 
     def test_not_positive_definite_raises_linalg_error(self):
-        for s in (np.diag([1.0, -1.0]), np.zeros((3, 3))):
+        # S = diag(-1, 2), S = 0, and S = 0 again from a negative ts.
+        for gram, ts in ((np.diag([-2.0, 1.0]), 1.0), (-np.eye(3), 1.0),
+                         (np.eye(2), -1.0)):
             with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
-                spd_factor(s)
+                factor(gram, ts)
 
-    def test_asymmetric_rejected(self):
-        s = np.eye(2)
-        s[0, 1] = 1e-3
-        with pytest.raises(ValueError, match="symmetric"):
-            spd_factor(s)
+    def test_nonfinite_scaled_eigenvalues_raise(self):
+        # ts*lam overflows although ts is finite; an infinite d would
+        # otherwise give a zero inverse.
+        for ts in (1e308, np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite entries"):
+                factor(np.diag([1.0, 4.0]), ts)
+
+    def test_matrix_formed_only_for_refinement(self):
+        assert factor(np.diag([0.0, 4.0])).matrix is None
+        fac = factor(np.diag([0.0, 4.0]), 1e4)
+        np.testing.assert_array_equal(fac.matrix, np.diag([1.0, 1.0 + 4e4]))
 
 
 class TestSpdSolve:
     def test_identity(self):
-        fac = spd_factor(np.eye(4))
+        fac = factor(np.zeros((4, 4)))
         rhs = np.arange(4.0)
         np.testing.assert_array_equal(spd_solve(fac, rhs), rhs)
 
@@ -65,55 +80,61 @@ class TestSpdSolve:
         rng = np.random.default_rng(7)
         for _ in range(5):
             s = random_spd(rng, 15)
-            fac = spd_factor(s)
+            fac = factor(s - np.eye(15))
             x = rng.standard_normal(15)
             np.testing.assert_allclose(spd_solve(fac, s @ x), x, atol=1e-9, rtol=1e-9)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(8)
-        s = random_spd(rng, 30)
-        fac = spd_factor(s)
+        gram = random_spd(rng, 30, shift=0.0)
+        fac = factor(gram)
         rhs = rng.standard_normal(30)
         x = spd_solve(fac, rhs)
-        assert np.linalg.norm(s @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.linalg.norm(x + gram @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
 
     def test_dimension_mismatch(self):
-        fac = spd_factor(np.eye(3))
+        fac = factor(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="dimension mismatch"):
             spd_solve(fac, np.ones(4))
 
     def test_matches_cho_solve_bitwise(self):
         # The solve is the product with the cached inverse, refined once
         # when the factor says so, bit for bit, and agrees with LAPACK's
-        # triangular solves on the same Cholesky factor to 1e-12 relative.
+        # triangular solves on a Cholesky factor of S to 1e-12 relative.
         rng = np.random.default_rng(9)
         refined = set()
-        for dim in (1, 7, 100):
-            fac = spd_factor(random_spd(rng, dim))
+        for dim, ts in ((1, 1.0), (7, 1.0), (100, 1.0), (100, 10.0)):
+            gram = random_spd(rng, dim, shift=0.0)
+            s = np.eye(dim) + ts * gram
+            fac = factor(gram, ts)
             rhs = rng.standard_normal(dim)
             got = spd_solve(fac, rhs)
             want = fac.inverse @ rhs
             if fac.refine:
+                np.testing.assert_array_equal(fac.matrix, s)
                 want = want + fac.inverse @ (rhs - fac.matrix @ want)
             refined.add(fac.refine)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
-            ref = cho_solve((np.linalg.cholesky(fac.matrix), True), rhs)
+            ref = cho_solve((np.linalg.cholesky(s), True), rhs)
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
         assert refined == {False, True}
 
     def test_refines_only_when_ill_conditioned(self):
-        # The flag is the 1-norm condition number against REFINE_COND.
-        assert not spd_factor(np.eye(3)).refine
-        assert not spd_factor(np.diag([1.0, REFINE_COND])).refine
-        assert spd_factor(np.diag([1.0, 2.0 * REFINE_COND])).refine
+        # The flag is the 2-norm condition number of S against REFINE_COND.
+        assert not factor(np.zeros((3, 3))).refine
+        assert not factor(np.diag([0.0, REFINE_COND - 1.0])).refine
+        assert factor(np.diag([0.0, 2.0 * REFINE_COND - 1.0])).refine
+        # The same S from a different split of ts and the Gram matrix.
+        assert factor(np.diag([0.0, 2.0 * REFINE_COND - 1.0]) / 8.0, 8.0).refine
 
     def test_empty_system(self):
-        fac = spd_factor(np.eye(0))
+        fac = factor(np.zeros((0, 0)))
+        assert fac.dim == 0 and not fac.refine and fac.matrix is None
         assert spd_solve(fac, np.ones(0)).shape == (0,)
 
     def test_rhs_not_overwritten(self):
         rng = np.random.default_rng(10)
-        fac = spd_factor(random_spd(rng, 6))
+        fac = factor(random_spd(rng, 6, shift=0.0))
         rhs = rng.standard_normal(6)
         kept = rhs.copy()
         spd_solve(fac, rhs)
@@ -124,7 +145,7 @@ class TestSpdSolve:
         # No finiteness scan, and no error: the solver detects divergence
         # from its step residual instead.
         rng = np.random.default_rng(11)
-        fac = spd_factor(random_spd(rng, 5))
+        fac = factor(random_spd(rng, 5, shift=0.0))
         rhs = rng.standard_normal(5)
         rhs[2] = bad
         x = spd_solve(fac, rhs)
@@ -254,6 +275,30 @@ class TestLinearMap:
         tall = LinearMap(np.arange(6.0).reshape(3, 2))
         assert tall.gram is tall.gram
         np.testing.assert_array_equal(tall.gram, tall.mat.T @ tall.mat)
+
+    def test_eigendecomposition_cached(self, monkeypatch):
+        # One eigh per operator, whatever the number of products factored.
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(mat):
+            calls.append(mat)
+            return real(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        op = LinearMap(np.arange(6.0).reshape(3, 2))
+        for ts in (1.0, 2.0, 1.0, 1e-3):
+            op.schur(ts)
+        assert len(calls) == 1 and calls[0] is op.gram
+        assert op.gram_eig is op.gram_eig
+
+    def test_overflowing_gram_rejected(self):
+        # A finite K whose Gram matrix overflows cannot be factored.
+        op = LinearMap(np.full((3, 2), 1e200))
+        with np.errstate(over="ignore"):
+            op.gram
+        with pytest.raises(ValueError, match="Gram matrix has non-finite entries"):
+            op.schur(1.0)
 
     def test_shape_checks(self):
         op = LinearMap(np.ones((2, 3)))

@@ -11,7 +11,13 @@ from scipy.linalg import cho_solve
 
 from drsplit import linalg, pddr
 from drsplit.adaptive import AdaptiveConfig, ConstantPolicy, TAdaptivePolicy, TsAdaptivePolicy
-from drsplit.experiments import gen_lad, gen_tv, make_lad_problem, make_tv_problem
+from drsplit.experiments import (
+    gen_lad,
+    gen_tv,
+    make_lad_problem,
+    make_tv_problem,
+    run_comparison,
+)
 from drsplit.linalg import DifferenceMap, LinearMap
 from drsplit.operators import (
     quadratic_fidelity_prox,
@@ -145,14 +151,77 @@ class TestBlockResolvent:
         calls = []
         real = linalg.spd_factor
 
-        def counting(s_mat):
-            calls.append(s_mat)
-            return real(s_mat)
+        def counting(gram, eig, ts):
+            calls.append(ts)
+            return real(gram, eig, ts)
 
         monkeypatch.setattr(linalg, "spd_factor", counting)
         prob = lad_like(2)
         solve(prob, ConstantPolicy(1.1, 1.1), max_iter=30, tol=0.0)
         assert len(calls) == 1
+
+    def test_one_eigendecomposition_per_operator(self, monkeypatch):
+        # Three policies on one LAD problem share its coupling: one eigh in
+        # all, and one spd_factor per change of t*s along the three runs.
+        eighs, factored = [], []
+        real_eigh, real_factor = np.linalg.eigh, linalg.spd_factor
+
+        def counting_eigh(mat):
+            eighs.append(mat.shape)
+            return real_eigh(mat)
+
+        def counting_factor(gram, eig, ts):
+            factored.append(ts)
+            return real_factor(gram, eig, ts)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(linalg, "spd_factor", counting_factor)
+        _, prob = gen_lad(3, m=40, n=20)
+        traces = run_comparison(prob, [ConstantPolicy(1.0, 1.0), TsAdaptivePolicy(),
+                                       TAdaptivePolicy()], max_iter=100)
+        assert eighs == [(20, 20)]
+
+        def changes(ts):
+            return ts[np.r_[True, ts[1:] != ts[:-1]]].tolist()
+
+        products = [tr.column("t") * tr.column("s") for tr in traces]
+        assert factored == changes(np.concatenate(products))
+        # Within a run, no product comes back after it changed.
+        for ts in products:
+            assert len(set(changes(ts))) == len(changes(ts))
+        assert len(factored) > 10
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_dense_coupling(self, shape):
+        # Nothing to solve: u is r1 and v is r2, bit for bit.
+        rows, cols = shape
+        r1, r2 = np.arange(1.0, cols + 1), np.arange(1.0, rows + 1)
+        u, v, fac = block_resolvent(r1, r2, 2.0, 3.0, LinearMap(np.zeros(shape)))
+        assert_bitwise(u, r1)
+        assert_bitwise(v, r2)
+        assert fac.ts == 6.0
+
+    def test_underflowing_product_solves_identity(self):
+        # t*s underflows to 0.0: the Schur complement is I, and the solve
+        # returns its right-hand side to rounding.
+        rng = np.random.default_rng(43)
+        for shape in ((30, 12), (12, 30)):
+            op = LinearMap(rng.standard_normal(shape))
+            rhs = rng.standard_normal(min(shape))
+            np.testing.assert_allclose(op.schur(0.0).solve(rhs), rhs, rtol=0,
+                                       atol=1e-14 * np.linalg.norm(rhs))
+            r1, r2 = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+            u, v, fac = block_resolvent(r1, r2, 1e-200, 1e-200, op)
+            assert fac.ts == 0.0
+            np.testing.assert_allclose(u, r1, rtol=0, atol=1e-14 * np.linalg.norm(r1))
+            np.testing.assert_allclose(v, r2, rtol=0, atol=1e-14 * np.linalg.norm(r2))
+
+    def test_overflowing_eigenvalues_rejected(self):
+        # t*s = 1e308 is finite and passes check_steps, but ts times the
+        # largest Gram eigenvalue overflows: a ValueError, not a zero inverse.
+        _, prob = gen_lad(0, m=40, n=20)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            block_resolvent(np.ones(20), np.ones(40), 1e154, 1e154, prob.coupling)
 
     def test_nonpositive_steps_rejected(self):
         op = LinearMap(np.eye(2))
@@ -259,38 +328,59 @@ class TestBlockResolvent:
            log_cond=st.floats(0, 4),
            log_steps=st.tuples(st.floats(-6, 4), st.floats(-6, 4)))
     def test_dense_kernel_as_accurate_as_cholesky(self, shape, seed, log_cond, log_steps):
-        # The dense Schur solve (the product with the cached inverse,
-        # refined once when ill-conditioned) meets the block equations
-        # within twice the residual of LAPACK's triangular solves on the
-        # same Cholesky factor, over the whole stepsize envelope and for K
-        # of condition number up to 1e4.  Below 1e-14 of the Schur system's
-        # backward-error scale, ||I + ts*K'K|| ||(u, v)|| + ||(r1, r2)||,
-        # residuals are rounding: rounding u alone moves them by eps times
-        # that.
+        # The bound of assert_as_accurate_as_cholesky, over the whole
+        # stepsize envelope and for K of condition number up to 1e4.
         rng = np.random.default_rng(seed)
         left, _, right = np.linalg.svd(rng.standard_normal(shape), full_matrices=False)
         kmat = (left * np.logspace(0, -log_cond, min(shape))) @ right
         t, s = (10.0 ** v for v in log_steps)
-        op = LinearMap(kmat)
         rows, cols = shape
         r1, r2 = rng.standard_normal(cols), rng.standard_normal(rows)
-        lower = np.linalg.cholesky(np.eye(op.gram.shape[0]) + t * s * op.gram)
-        if rows < cols:
-            v_ref = cho_solve((lower, True), r2 + s * (kmat @ r1))
-            u_ref = r1 - t * (kmat.T @ v_ref)
-        else:
-            u_ref = cho_solve((lower, True), r1 - t * (kmat.T @ r2))
-            v_ref = r2 + s * (kmat @ u_ref)
-        u, v, _ = block_resolvent(r1, r2, t, s, op)
+        assert_as_accurate_as_cholesky(kmat, r1, r2, t, s)
 
-        def residual(u, v):
-            return np.hypot(np.linalg.norm(u + t * kmat.T @ v - r1),
-                            np.linalg.norm(-s * kmat @ u + v - r2))
+    @pytest.mark.parametrize("t, s", [(1e4, 1e4), (1e4, 1e-4), (3e3, 1e4),
+                                      (0.05, 5.0), (5.0, 0.05)])
+    @pytest.mark.parametrize("wide", [False, True], ids=["tall", "wide"])
+    def test_dense_kernel_as_accurate_as_cholesky_at_lad_size(self, wide, t, s):
+        # The same bound on the default 200x100 LAD design and its 100x200
+        # transpose, at the corners of the stepsize envelope and of
+        # criterion 4's box, with right-hand sides from 1e-3 to 1e3.
+        design = gen_lad(0)[0].design
+        kmat = np.ascontiguousarray(design.T) if wide else design
+        rows, cols = kmat.shape
+        rng = np.random.default_rng(7)
+        op = LinearMap(kmat)
+        for scale in (1e-3, 1.0, 1e3):
+            r1, r2 = scale * rng.standard_normal(cols), scale * rng.standard_normal(rows)
+            assert_as_accurate_as_cholesky(kmat, r1, r2, t, s, op)
 
-        scale = ((1.0 + t * s * np.linalg.norm(kmat, 2) ** 2)
-                 * np.hypot(np.linalg.norm(u_ref), np.linalg.norm(v_ref))
-                 + np.hypot(np.linalg.norm(r1), np.linalg.norm(r2)))
-        assert residual(u, v) <= 2.0 * residual(u_ref, v_ref) + 1e-14 * scale
+
+def assert_as_accurate_as_cholesky(kmat, r1, r2, t, s, op=None):
+    """Assert that the dense Schur solve (the product with the cached
+    inverse, refined once when ill-conditioned) meets the block equations
+    within twice the residual of LAPACK's triangular solves on a Cholesky
+    factor of the same Schur complement, up to 1e-14 of the Schur system's
+    backward-error scale, ||I + ts*K'K|| ||(u, v)|| + ||(r1, r2)||: rounding
+    u alone moves residuals by eps times that."""
+    op = LinearMap(kmat) if op is None else op
+    rows, cols = kmat.shape
+    lower = np.linalg.cholesky(np.eye(op.gram.shape[0]) + t * s * op.gram)
+    if rows < cols:
+        v_ref = cho_solve((lower, True), r2 + s * (kmat @ r1))
+        u_ref = r1 - t * (kmat.T @ v_ref)
+    else:
+        u_ref = cho_solve((lower, True), r1 - t * (kmat.T @ r2))
+        v_ref = r2 + s * (kmat @ u_ref)
+    u, v, _ = block_resolvent(r1, r2, t, s, op)
+
+    def residual(u, v):
+        return np.hypot(np.linalg.norm(u + t * kmat.T @ v - r1),
+                        np.linalg.norm(-s * kmat @ u + v - r2))
+
+    scale = ((1.0 + t * s * np.linalg.norm(kmat, 2) ** 2)
+             * np.hypot(np.linalg.norm(u_ref), np.linalg.norm(v_ref))
+             + np.hypot(np.linalg.norm(r1), np.linalg.norm(r2)))
+    assert residual(u, v) <= 2.0 * residual(u_ref, v_ref) + 1e-14 * scale
 
 
 def coupling_only(coupling):
@@ -539,8 +629,9 @@ def with_bad_prox(prob, side, bad, after):
 def reference_lad_run(a, b, weight, policy, sweeps):
     """The sweep, the solve loop and the two-sided adaptive rule restated in
     plain numpy for LAD, with the coupled solve as the product with the
-    inverse that ``spd_factor`` caches, refined once when the factor says
-    so, and the objective evaluated as one product per full block of
+    inverse of I + ts*gram built from gram's eigendecomposition, refined
+    once when that matrix's 2-norm condition number exceeds ``REFINE_COND``,
+    and the objective evaluated as one product per full block of
     ``objective_block_rows`` candidates from step 0.  Returns x, y and the
     trace rows."""
     m, n = a.shape
@@ -552,14 +643,15 @@ def reference_lad_run(a, b, weight, policy, sweeps):
     p, q = np.zeros(n), np.zeros(m)
     dual_side = m < n
     gram = a @ a.T if dual_side else a.T @ a
-    factor, factored_ts = None, None
+    lam, vecs = np.linalg.eigh(gram)
+    inverse, matrix, factored_ts = None, None, None
     rows = []
 
     def schur_solve(rhs):
-        first = factor.inverse @ rhs
-        if not factor.refine:
+        first = inverse @ rhs
+        if matrix is None:
             return first
-        return first + factor.inverse @ (rhs - factor.matrix @ first)
+        return first + inverse @ (rhs - matrix @ first)
 
     def one_side(step, point, shadow, k, lo, hi):
         num = np.linalg.norm(point)
@@ -581,8 +673,11 @@ def reference_lad_run(a, b, weight, policy, sweeps):
         ts = t * s
         # The coupling refactors whenever t*s changes at all, so the
         # restatement does too.
-        if factor is None or factored_ts != ts:
-            factor = linalg.spd_factor(np.eye(gram.shape[0]) + ts * gram)
+        if factored_ts != ts:
+            d = 1.0 + ts * lam
+            inverse = (vecs / d) @ vecs.T
+            refine = d.max() / d.min() > linalg.REFINE_COND
+            matrix = np.eye(gram.shape[0]) + ts * gram if refine else None
             factored_ts = ts
         if dual_side:
             v = schur_solve(r2 + s * (a @ r1))
