@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import experiments, pddr, report, spectral
+from . import experiments, linalg, pddr, report, spectral
 from .adaptive import AdaptiveConfig, ConstantPolicy, TAdaptivePolicy, TsAdaptivePolicy
 from .ppa_core import IterationDiverged
 
@@ -173,6 +173,8 @@ def _cmd_tv(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    # Checked before the pair is generated, which alone is O(half_dim^2) memory.
+    linalg.check_eig_dim(2 * args.half_dim)
     pair = experiments.gen_monotone_pair(args.seed, args.half_dim)
     grid = experiments.log_grid(args.grid_min, args.grid_max, args.grid)
     scan = spectral.radius_scan(pair, grid, grid)

@@ -52,6 +52,7 @@ __all__ = [
     "Schur",
     "SpdFactor",
     "check_diagonal",
+    "check_eig_dim",
     "check_steps",
     "eig_all",
     "eig_pairs",
@@ -227,11 +228,16 @@ def _dense_eig(routine, mat):
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    if a.shape[0] > EIG_MAX_DIM:
-        raise ValueError(
-            f"matrix dimension {a.shape[0]} exceeds the supported {EIG_MAX_DIM}"
-        )
+    check_eig_dim(a.shape[0])
     return routine(a)
+
+
+def check_eig_dim(dim: int) -> None:
+    """Raise ``ValueError`` if a ``dim`` x ``dim`` matrix is too large for
+    the dense eigensolver (``EIG_MAX_DIM``); callers that build such a
+    matrix check its size first, before they pay for building it."""
+    if dim > EIG_MAX_DIM:
+        raise ValueError(f"matrix dimension {dim} exceeds the supported {EIG_MAX_DIM}")
 
 
 def eig_pairs(mat) -> tuple[np.ndarray, np.ndarray]:

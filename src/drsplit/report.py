@@ -26,6 +26,8 @@ TRACE_HEADER = ",".join(TraceRow._fields)
 SCAN_HEADER = "t,s,rho"
 # One trace CSV row: the integer k, then 17 significant digits per float.
 _TRACE_ROW = "%d,%.16e,%.16e,%.16e,%.16e\n"
+# One scan CSV row: t, s and rho, 17 significant digits each.
+_SCAN_ROW = "%.16e,%.16e,%.16e\n"
 # Every integer of at most this magnitude is exact in float64.
 _EXACT_INT = 2 ** 53
 
@@ -64,8 +66,7 @@ def write_scan_csv(scan: RadiusScan, path) -> None:
     """Write a stepsize-grid scan table."""
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(SCAN_HEADER + "\n")
-        for r in scan.rows:
-            fh.write(f"{r.t:.16e},{r.s:.16e},{r.rho:.16e}\n")
+        fh.writelines(_SCAN_ROW % row for row in scan.rows)
 
 
 def read_scan_csv(path) -> RadiusScan:

@@ -7,6 +7,15 @@ matrices, so they share a spectrum.  Every eigenvalue lies in the closed
 disc of radius 1/2 centered at 1/2; an eigenvalue's distance from 1/2 is
 further bounded through a normalized monotonicity ratio of A at the matching
 eigenvector, which is what makes stepsize tuning visible in the spectrum.
+
+A stepsize scan factors nothing per grid pair.  Its preconditioner is
+block-constant, (t, s), so I + DA is block-diagonal with blocks I + tA1 and
+I + sA2 (A1 and A2 are a pair's ``block_one`` and ``block_two_inv``), and
+the inverse of I + DB has a closed form in the SVD of the coupling K.  A
+scan takes one SVD of K, inverts I + tA1 once per t and I + sA2 once per s,
+and builds each pair's matrix from two matrix products.  Every matrix,
+scanned or built by :func:`iteration_matrix`, passes the same residual
+check.
 """
 
 import math
@@ -42,7 +51,7 @@ FIXED_POINT_TOL = 1e-8
 DISC_SLACK = 1e-8
 # Relative roundoff below zero tolerated in a block's least symmetric eigenvalue.
 MONOTONE_TOL = 1e-10
-# Relative backward-error bound of the identity check in iteration_matrix.
+# Relative backward-error bound of the identity check on every iteration matrix.
 IDENTITY_RTOL = 1e-13
 
 
@@ -141,20 +150,25 @@ def iteration_matrix(a_mat, b_mat, delta) -> np.ndarray:
     da = d[:, None] * a
     db = d[:, None] * b
     eye = np.eye(a.shape[0])
-    eye_da = eye + da
+    inner = np.linalg.solve(eye + db, eye - da)
+    h = np.linalg.solve(eye + da, da + inner)
+    _check_identity(da, db, h)
+    return h
+
+
+def _check_identity(da: np.ndarray, db: np.ndarray, h: np.ndarray) -> None:
+    """The residual check of :func:`iteration_matrix` on h, given DA and DB;
+    raises :class:`IdentityCheckError` when it fails."""
+    eye = np.eye(da.shape[0])
     eye_db = eye + db
-    eye_minus_da = eye - da
-    inner = np.linalg.solve(eye_db, eye_minus_da)
-    h = np.linalg.solve(eye_da, da + inner)
     dbda = db @ da
     gap = float(np.linalg.norm((eye_db + da + dbda) @ h - (eye + dbda), np.inf))
-    scale = (np.linalg.norm(eye_db, np.inf) * np.linalg.norm(eye_da, np.inf)
-             * np.linalg.norm(h, np.inf) + np.linalg.norm(eye_minus_da, np.inf))
+    scale = (np.linalg.norm(eye_db, np.inf) * np.linalg.norm(eye + da, np.inf)
+             * np.linalg.norm(h, np.inf) + np.linalg.norm(eye - da, np.inf))
     bound = IDENTITY_RTOL * float(scale)
     if not gap <= bound < math.inf:
         raise IdentityCheckError(
             f"iteration-matrix identity violated: gap {gap}, bound {bound}")
-    return h
 
 
 def dr_update_matrix(a_mat, b_mat, delta) -> np.ndarray:
@@ -307,9 +321,32 @@ def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
     """Spectral radius of the iteration matrix over a stepsize grid.
 
     Each grid must be nonempty, 1-D, finite and positive.  Rows are ordered
-    t-major then s; ``best`` is :func:`best_row` of them.  Each pair costs
-    one :func:`iteration_matrix` and one :func:`spectral_radius`, which
-    computes eigenvalues only.
+    t-major then s; ``best`` is :func:`best_row` of them.
+
+    The matrices are those of :func:`iteration_matrix` at the preconditioner
+    (t, s), built without its two LU solves per pair.  With R = (I + DA)^{-1}
+    and J = (I + DB)^{-1}, h = R + R (J - I)(I - DA), which is R exactly
+    when K = 0.  Once per scan, the operators are checked and K = U S V' is
+    decomposed by one thin SVD (singular vectors beyond min(m, n) would only
+    meet zero singular values).  Once per grid value, I + tA1 (per t) or
+    I + sA2 (per s) is inverted, and the inverse and I - tA1 or I - sA2 are
+    projected onto V or U.  Once per pair, with G = diag(1 / (1 + ts S^2)),
+    J - I = [[V (G - I) V', -t V G S U'], [s U S G V', U (G - I) U']], so
+    h costs two matrix products of those factors, scaled by G.  Each h
+    then passes the residual check of :func:`iteration_matrix`, with its
+    bound unchanged, and costs one :func:`spectral_radius`, which computes
+    eigenvalues only.
+
+    Raises
+    ------
+    ValueError
+        If a grid is malformed, the pair's blocks are not finite, or the
+        iteration matrix would be too large for the eigensolver
+        (checked before any factor is computed).
+    numpy.linalg.LinAlgError
+        If I + tA1 or I + sA2 is exactly singular at a grid value.
+    IdentityCheckError
+        If a pair's matrix fails the residual check.
     """
     t_vals = np.asarray(t_grid, dtype=float)
     s_vals = np.asarray(s_grid, dtype=float)
@@ -317,16 +354,40 @@ def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
         if vals.ndim != 1 or vals.size == 0 or not np.all(np.isfinite(vals) & (vals > 0)):
             raise ValueError(
                 f"{name} grid of shape {vals.shape} must be nonempty, 1-D, finite and positive")
-    a = pair.block_diag_half()
-    b = pair.skew_half()
+    a, b = _operator_pair(pair.block_diag_half(), pair.skew_half())
     n, m = pair.primal_dim, pair.dual_dim
+    linalg.check_eig_dim(n + m)
+    u, sigma, vt = np.linalg.svd(pair.coupling, full_matrices=False)
+    sig2 = sigma ** 2
+    s_axis = [_axis_factors(pair.block_two_inv, s, u, sigma) for s in s_vals]
     rows = []
     for t in t_vals:
-        for s in s_vals:
+        res_one, res_v, z_one, sz_one = _axis_factors(pair.block_one, t, vt.T, sigma)
+        for s, (res_two, res_u, z_two, sz_two) in zip(s_vals, s_axis):
+            g = 1.0 / (1.0 + t * s * sig2)
+            h = np.empty((n + m, n + m))
+            np.matmul(res_v * (-t * g), np.hstack([s * sz_one, z_two]), out=h[:n])
+            np.matmul(res_u * (s * g), np.hstack([z_one, -t * sz_two]), out=h[n:])
+            h[:n, :n] += res_one
+            h[n:, n:] += res_two
             d = np.concatenate([np.full(n, t), np.full(m, s)])
-            rho = spectral_radius(iteration_matrix(a, b, d))
-            rows.append(ScanRow(float(t), float(s), rho))
+            _check_identity(d[:, None] * a, d[:, None] * b, h)
+            rows.append(ScanRow(float(t), float(s), spectral_radius(h)))
     return RadiusScan(rows=rows, best=best_row(rows))
+
+
+def _axis_factors(block, step, basis, sigma):
+    """The factors of one grid value of a scan axis.
+
+    ``basis`` holds the singular vectors of K on this side (V for t, U for
+    s) as columns.  With R = (I + step*block)^{-1} and Z the rows of
+    basis'(I - step*block) scaled by ``sigma``: R, R basis, Z and Z scaled
+    by ``sigma`` once more.
+    """
+    eye = np.eye(block.shape[0])
+    res = np.linalg.inv(eye + step * block)
+    z = sigma[:, None] * (basis.T @ (eye - step * block))
+    return res, res @ basis, z, sigma[:, None] * z
 
 
 def match_spectra(vals_a, vals_b) -> float:

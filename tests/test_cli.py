@@ -118,6 +118,19 @@ class TestSpectrum:
         assert len(read_scan_csv(out).rows) == 400
         assert "best radius" in stdout
 
+    def test_oversized_half_dim_rejected_before_generation(self, tmp_path, capsys, monkeypatch):
+        # 2 * 251 = 502 exceeds the eigensolver's limit; the check must come
+        # before the pair is generated, so a huge size allocates nothing.
+        def fail(*args):
+            raise AssertionError("pair generated before the size check")
+
+        monkeypatch.setattr(experiments, "gen_monotone_pair", fail)
+        out = tmp_path / "scan.csv"
+        code, _, stderr = run(["spectrum", "--half-dim", "251", "--out", str(out)], capsys)
+        assert code == 2
+        assert "invalid configuration: matrix dimension 502 exceeds the supported 500" in stderr
+        assert not out.exists()
+
     def test_eigen_failure_exit_1(self, tmp_path, capsys, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

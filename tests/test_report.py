@@ -103,6 +103,19 @@ class TestScanCsv:
         assert back.best == rows[1]
         assert path.read_text(encoding="ascii").split("\n")[0] == SCAN_HEADER
 
+    def test_bytes_match_row_format(self, tmp_path):
+        # The bytes are those of the per-row f-string form, signed zero,
+        # subnormals and non-finite radii included.
+        rows = [ScanRow(1.0 / 3.0, 1e-300, math.pi),
+                ScanRow(5e-324, 1.7976931348623157e308, -0.0),
+                ScanRow(0.1 + 0.2, 2.0 ** -1074, float("inf")),
+                ScanRow(1e4, 1e-12, float("nan"))]
+        path = tmp_path / "scan.csv"
+        write_scan_csv(RadiusScan(rows=rows, best=rows[0]), path)
+        want = SCAN_HEADER + "\n" + "".join(
+            f"{r.t:.16e},{r.s:.16e},{r.rho:.16e}\n" for r in rows)
+        assert path.read_bytes() == want.encode("ascii")
+
     def test_empty_scan_rejected_on_read(self, tmp_path):
         path = tmp_path / "scan.csv"
         path.write_text(SCAN_HEADER + "\n")

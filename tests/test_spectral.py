@@ -367,7 +367,7 @@ class TestRadiusScan:
         want = [(t, s, reference_radius(pair, t, s)) for t in grid for s in grid]
         want_best = min(want, key=lambda r: (r[2], r[0], r[1]))
 
-        calls = {"iteration_matrix": 0, "spectral_radius": 0}
+        calls = {"spectral_radius": 0}
 
         def counted(name):
             real = getattr(spectral, name)
@@ -380,18 +380,99 @@ class TestRadiusScan:
         def no_vectors(*args, **kwargs):
             raise AssertionError("eigenvectors computed on the scan path")
 
-        # The benchmark laps and traces the scan through these two module
-        # attributes, one call each per grid pair.
+        # The benchmark laps and traces the scan through this module
+        # attribute, one call per grid pair.
         for name in calls:
             monkeypatch.setattr(spectral, name, counted(name))
         monkeypatch.setattr(np.linalg, "eig", no_vectors)
         scan = radius_scan(pair, grid, grid)
 
-        assert calls == {"iteration_matrix": 64, "spectral_radius": 64}
+        assert calls == {"spectral_radius": 64}
         assert [(r.t, r.s) for r in scan.rows] == [(t, s) for t, s, _ in want]
         for row, (_, _, rho) in zip(scan.rows, want):
             assert row.rho == pytest.approx(rho, rel=1e-12, abs=0.0)
         assert (scan.best.t, scan.best.s) == want_best[:2]
+
+
+    @pytest.mark.parametrize("shape, rank", [
+        ((3, 5), 3), ((5, 3), 3), ((4, 6), 2), ((4, 4), 1), ((3, 5), 0)],
+        ids=["wide", "tall", "deficient-rect", "deficient-square", "zero"])
+    def test_general_couplings_match_reference(self, shape, rank):
+        # K of any shape and rank, not only the square full-rank K of
+        # gen_monotone_pair: the SVD is zero-padded on the longer side.
+        rng = np.random.default_rng(64 + rank)
+        m, n = shape
+        g1 = rng.standard_normal((n, n))
+        g2 = rng.standard_normal((m, m))
+        k = rng.uniform(size=(m, rank)) @ rng.uniform(size=(rank, n))
+        pair = LinearMonotonePair(block_one=g1.T @ g1 + 0.1 * np.eye(n),
+                                  block_two_inv=np.linalg.inv(g2.T @ g2 + 0.1 * np.eye(m)),
+                                  coupling=k)
+        assert np.linalg.matrix_rank(k) == rank
+        assert_scan_matches_reference(pair, log_grid(1e-6, 1e6, 7))
+
+    def test_wide_grid_passes_identity_check(self):
+        # Every pair of [1e-6, 1e6] passes the unchanged residual check.
+        assert_scan_matches_reference(gen_monotone_pair(11, half_dim=25), log_grid(1e-6, 1e6, 7))
+
+    def test_planted_error_in_axis_inverse_raises(self, monkeypatch):
+        # Move every entry of each per-axis inverse by 1e-8 * max|entry|
+        # with random signs, which moves h far above roundoff: the
+        # residual check must reject it at every pair of a small grid.
+        rng = np.random.default_rng(65)
+        plain_inv = np.linalg.inv
+        pair = gen_monotone_pair(4, half_dim=5)
+
+        def planted_inv(mat):
+            x = plain_inv(mat)
+            return x + 1e-8 * np.abs(x).max() * rng.choice([-1.0, 1.0], size=x.shape)
+
+        monkeypatch.setattr(np.linalg, "inv", planted_inv)
+        for t in log_grid(1e-3, 1e3, 5):
+            for s in log_grid(1e-3, 1e3, 5):
+                with pytest.raises(IdentityCheckError,
+                                   match="iteration-matrix identity violated: gap"):
+                    radius_scan(pair, [t], [s])
+
+    def test_singular_axis_resolvent_raises(self):
+        # block_one = -I at t = 1 makes I + tA1 the zero matrix.
+        pair = LinearMonotonePair(block_one=-np.eye(3), block_two_inv=np.eye(3),
+                                  coupling=np.ones((3, 3)))
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            radius_scan(pair, [0.5, 1.0], [1.0])
+
+    @pytest.mark.parametrize("n, m, admitted", [(251, 250, False), (250, 250, True)])
+    def test_size_checked_before_factoring(self, n, m, admitted, monkeypatch):
+        # n + m above EIG_MAX_DIM is rejected before the SVD and the
+        # per-axis inverses; at the limit the scan goes on to the SVD.
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(np.linalg, "svd", reached)
+        monkeypatch.setattr(np.linalg, "inv", reached)
+        pair = LinearMonotonePair(block_one=np.eye(n), block_two_inv=np.eye(m),
+                                  coupling=np.zeros((m, n)))
+        if admitted:
+            with pytest.raises(Reached):
+                radius_scan(pair, [1.0], [1.0])
+        else:
+            with pytest.raises(ValueError, match="matrix dimension 501 exceeds the supported 500"):
+                radius_scan(pair, [1.0], [1.0])
+
+
+def assert_scan_matches_reference(pair, grid):
+    """Every row of a scan within 1e-12 relative of reference_radius, and the
+    same best pair."""
+    scan = radius_scan(pair, grid, grid)
+    want = [(t, s, reference_radius(pair, t, s)) for t in grid for s in grid]
+    assert [(r.t, r.s) for r in scan.rows] == [(t, s) for t, s, _ in want]
+    for row, (_, _, rho) in zip(scan.rows, want):
+        assert row.rho == pytest.approx(rho, rel=1e-12, abs=0.0)
+    best = min(want, key=lambda r: (r[2], r[0], r[1]))
+    assert (scan.best.t, scan.best.s) == best[:2]
 
 
 def reference_radius(pair, t, s):
