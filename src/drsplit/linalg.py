@@ -34,7 +34,10 @@ decomposed, once; a dense Schur factor checks its scaled eigenvalues
 ``ts*lam`` instead.  :func:`spd_solve` runs inside every solver sweep and
 scans nothing: a non-finite right-hand side comes back as a non-finite
 solution, and the solver detects the divergence afterwards, from its step
-residual (see :mod:`drsplit.pddr`).
+residual (see :mod:`drsplit.pddr`).  Its products, and those of
+:class:`LinearMap`, call ``ndarray.dot``: the same BLAS routine as ``@``,
+bit for bit, without the matmul dispatch, which is a measurable share of a
+sweep at desk scale.
 """
 
 import math
@@ -201,13 +204,13 @@ def spd_solve(factor: SpdFactor, rhs) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: factor is {factor.dim}, rhs has shape {b.shape}"
         )
-    x = factor.inverse @ b
+    x = factor.inverse.dot(b)
     if not factor.refine:
         return x
     # A non-finite x meets inf - inf below; the warning would add nothing to
     # the non-finite solution, which the solver detects itself.
     with np.errstate(invalid="ignore", over="ignore"):
-        return x + factor.inverse @ (b - factor.matrix @ x)
+        return x + factor.inverse.dot(b - factor.matrix.dot(x))
 
 
 def _dense_eig(routine, mat):
@@ -352,14 +355,14 @@ class LinearMap:
         cols = self.mat.shape[1]
         if v.shape != (cols,):
             raise ValueError(f"dimension mismatch: expected {cols}, got {v.shape}")
-        return self.mat @ v
+        return self.mat.dot(v)
 
     def rmatvec(self, y) -> np.ndarray:
         v = np.asarray(y, dtype=float)
         rows = self.mat.shape[0]
         if v.shape != (rows,):
             raise ValueError(f"dimension mismatch: expected {rows}, got {v.shape}")
-        return self.mat.T @ v
+        return self.mat.T.dot(v)
 
     # Cached: the solver refactors I + ts*gram many times while stepsizes
     # move, and the Gram matrix and its eigendecomposition never change.

@@ -15,7 +15,7 @@ the inverse of I + DB has a closed form in the SVD of the coupling K.  A
 scan takes one SVD of K, inverts I + tA1 once per t and I + sA2 once per s,
 and builds each pair's matrix from two matrix products.  Every matrix,
 scanned or built by :func:`iteration_matrix`, passes the same residual
-check.
+check; a scan takes the operator norms of its bound per axis too.
 """
 
 import math
@@ -150,25 +150,48 @@ def iteration_matrix(a_mat, b_mat, delta) -> np.ndarray:
     da = d[:, None] * a
     db = d[:, None] * b
     eye = np.eye(a.shape[0])
-    inner = np.linalg.solve(eye + db, eye - da)
-    h = np.linalg.solve(eye + da, da + inner)
-    _check_identity(da, db, h)
+    eye_db = eye + db
+    eye_da = eye + da
+    eye_mda = eye - da
+    inner = np.linalg.solve(eye_db, eye_mda)
+    h = np.linalg.solve(eye_da, da + inner)
+    _check_identity(da, db, h, _inf_norm(eye_db), _inf_norm(eye_da), _inf_norm(eye_mda))
     return h
 
 
-def _check_identity(da: np.ndarray, db: np.ndarray, h: np.ndarray) -> None:
+def _check_identity(da: np.ndarray, db: np.ndarray, h: np.ndarray,
+                    norm_eye_db: float, norm_eye_da: float, norm_eye_mda: float) -> None:
     """The residual check of :func:`iteration_matrix` on h, given DA and DB;
-    raises :class:`IdentityCheckError` when it fails."""
+    raises :class:`IdentityCheckError` when it fails.
+
+    The residual is computed here, always by the same formula, so its bits
+    depend only on DA, DB and h.  The bound's three operator norms,
+    ||I + DB||, ||I + DA|| and ||I - DA|| in the infinity norm, come from
+    the caller: :func:`iteration_matrix` takes them of the full matrices,
+    :func:`radius_scan` as maxima over the two blocks of a grid pair, which
+    are equal in exact arithmetic.
+    """
     eye = np.eye(da.shape[0])
-    eye_db = eye + db
     dbda = db @ da
-    gap = float(np.linalg.norm((eye_db + da + dbda) @ h - (eye + dbda), np.inf))
-    scale = (np.linalg.norm(eye_db, np.inf) * np.linalg.norm(eye + da, np.inf)
-             * np.linalg.norm(h, np.inf) + np.linalg.norm(eye - da, np.inf))
+    lhs = eye + db
+    lhs += da
+    lhs += dbda
+    res = lhs @ h
+    dbda += eye
+    res -= dbda
+    gap = float(_inf_norm(res))
+    scale = norm_eye_db * norm_eye_da * _inf_norm(h) + norm_eye_mda
     bound = IDENTITY_RTOL * float(scale)
     if not gap <= bound < math.inf:
         raise IdentityCheckError(
             f"iteration-matrix identity violated: gap {gap}, bound {bound}")
+
+
+def _inf_norm(x: np.ndarray) -> float:
+    """The infinity norm (largest absolute row sum) of a 2-D array, the bits
+    of ``np.linalg.norm(x, np.inf)`` without its dispatch, and 0.0 for an
+    array with no rows."""
+    return np.add.reduce(np.abs(x), axis=1).max(initial=0.0)
 
 
 def dr_update_matrix(a_mat, b_mat, delta) -> np.ndarray:
@@ -332,10 +355,20 @@ def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
     I + sA2 (per s) is inverted, and the inverse and I - tA1 or I - sA2 are
     projected onto V or U.  Once per pair, with G = diag(1 / (1 + ts S^2)),
     J - I = [[V (G - I) V', -t V G S U'], [s U S G V', U (G - I) U']], so
-    h costs two matrix products of those factors, scaled by G.  Each h
-    then passes the residual check of :func:`iteration_matrix`, with its
-    bound unchanged, and costs one :func:`spectral_radius`, which computes
-    eigenvalues only.
+    h costs two matrix products of those factors, scaled by G, whose
+    operands are written into buffers allocated once per scan.  Each h
+    then passes the residual check of :func:`iteration_matrix` and costs
+    one :func:`spectral_radius`, which computes eigenvalues only.
+
+    The check computes its residual from DA, DB and h as for any matrix;
+    DA and DB are refreshed per pair by copying each axis's blocks, tA1
+    and tK' (per t) and sA2 and -sK (per s), computed once per grid value.
+    The bound's operator norms are taken per axis too: DA and DB are
+    block-structured, so ||I + DA|| is the larger of ||I + tA1|| and
+    ||I + sA2||, likewise ||I - DA||, and ||I + DB|| is the larger of
+    1 + t ||K'|| and 1 + s ||K|| (infinity norms).  These equal the
+    full-matrix norms of :func:`iteration_matrix` in exact arithmetic and
+    differ from them by a few ulps in floating point.
 
     Raises
     ------
@@ -354,40 +387,79 @@ def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
         if vals.ndim != 1 or vals.size == 0 or not np.all(np.isfinite(vals) & (vals > 0)):
             raise ValueError(
                 f"{name} grid of shape {vals.shape} must be nonempty, 1-D, finite and positive")
-    a, b = _operator_pair(pair.block_diag_half(), pair.skew_half())
+    _, b = _operator_pair(pair.block_diag_half(), pair.skew_half())
     n, m = pair.primal_dim, pair.dual_dim
     linalg.check_eig_dim(n + m)
     u, sigma, vt = np.linalg.svd(pair.coupling, full_matrices=False)
     sig2 = sigma ** 2
-    s_axis = [_axis_factors(pair.block_two_inv, s, u, sigma) for s in s_vals]
+    s_axis = [_axis_factors(pair.block_two_inv, b[n:, :n], s, u, sigma) for s in s_vals]
+    # Every pair writes the same blocks of these; the blocks of DA and DB
+    # that are zero at every pair are never written.
+    left_one = np.empty((n, sigma.size))
+    left_two = np.empty((m, sigma.size))
+    right_one = np.empty((sigma.size, n + m))
+    right_two = np.empty((sigma.size, n + m))
+    da = np.zeros((n + m, n + m))
+    db = np.zeros((n + m, n + m))
     rows = []
     for t in t_vals:
-        res_one, res_v, z_one, sz_one = _axis_factors(pair.block_one, t, vt.T, sigma)
-        for s, (res_two, res_u, z_two, sz_two) in zip(s_vals, s_axis):
+        one = _axis_factors(pair.block_one, b[:n, n:], t, vt.T, sigma)
+        right_two[:, :n] = one.z
+        da[:n, :n] = one.da
+        db[:n, n:] = one.db
+        for s, two in zip(s_vals, s_axis):
             g = 1.0 / (1.0 + t * s * sig2)
+            np.multiply(one.sz, s, out=right_one[:, :n])
+            right_one[:, n:] = two.z
+            np.multiply(two.sz, -t, out=right_two[:, n:])
             h = np.empty((n + m, n + m))
-            np.matmul(res_v * (-t * g), np.hstack([s * sz_one, z_two]), out=h[:n])
-            np.matmul(res_u * (s * g), np.hstack([z_one, -t * sz_two]), out=h[n:])
-            h[:n, :n] += res_one
-            h[n:, n:] += res_two
-            d = np.concatenate([np.full(n, t), np.full(m, s)])
-            _check_identity(d[:, None] * a, d[:, None] * b, h)
+            np.matmul(np.multiply(one.res_basis, -t * g, out=left_one), right_one, out=h[:n])
+            np.matmul(np.multiply(two.res_basis, s * g, out=left_two), right_two, out=h[n:])
+            h[:n, :n] += one.res
+            h[n:, n:] += two.res
+            da[n:, n:] = two.da
+            db[n:, :n] = two.db
+            _check_identity(da, db, h, max(one.norm_skew, two.norm_skew),
+                            max(one.norm_plus, two.norm_plus),
+                            max(one.norm_minus, two.norm_minus))
             rows.append(ScanRow(float(t), float(s), spectral_radius(h)))
     return RadiusScan(rows=rows, best=best_row(rows))
 
 
-def _axis_factors(block, step, basis, sigma):
+class _AxisFactors(NamedTuple):
+    """What a scan keeps of one grid value of an axis; see :func:`_axis_factors`."""
+
+    res: np.ndarray
+    res_basis: np.ndarray
+    z: np.ndarray
+    sz: np.ndarray
+    da: np.ndarray
+    db: np.ndarray
+    norm_plus: float
+    norm_minus: float
+    norm_skew: float
+
+
+def _axis_factors(block, skew, step, basis, sigma) -> _AxisFactors:
     """The factors of one grid value of a scan axis.
 
-    ``basis`` holds the singular vectors of K on this side (V for t, U for
-    s) as columns.  With R = (I + step*block)^{-1} and Z the rows of
-    basis'(I - step*block) scaled by ``sigma``: R, R basis, Z and Z scaled
-    by ``sigma`` once more.
+    ``block`` and ``skew`` are the nonzero blocks of A and B in this axis's
+    rows (A1 and K' for t, A2 and -K for s), and ``basis`` holds the
+    singular vectors of K on this side (V for t, U for s) as columns.  With
+    R = (I + step*block)^{-1} and Z the rows of basis'(I - step*block)
+    scaled by ``sigma``: R, R basis, Z and Z scaled by ``sigma`` once more;
+    the axis's blocks of DA and DB, step*block and step*skew; and its parts
+    of the identity check's norms, ||I + step*block||, ||I - step*block||
+    and 1 + step*||skew||, in the infinity norm.
     """
     eye = np.eye(block.shape[0])
-    res = np.linalg.inv(eye + step * block)
-    z = sigma[:, None] * (basis.T @ (eye - step * block))
-    return res, res @ basis, z, sigma[:, None] * z
+    scaled = step * block
+    plus = eye + scaled
+    minus = eye - scaled
+    res = np.linalg.inv(plus)
+    z = sigma[:, None] * (basis.T @ minus)
+    return _AxisFactors(res, res @ basis, z, sigma[:, None] * z, scaled, step * skew,
+                        _inf_norm(plus), _inf_norm(minus), 1.0 + step * _inf_norm(skew))
 
 
 def match_spectra(vals_a, vals_b) -> float:

@@ -300,6 +300,22 @@ class TestLinearMap:
         with pytest.raises(ValueError, match="Gram matrix has non-finite entries"):
             op.schur(1.0)
 
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (5, 5), (0, 3), (3, 0)],
+                             ids=["tall", "wide", "square", "no-rows", "no-cols"])
+    @pytest.mark.parametrize("view", [False, True], ids=["contiguous", "transposed-view"])
+    def test_products_match_matmul_bitwise(self, shape, view):
+        # ndarray.dot reaches the same BLAS product as @, bit for bit, also
+        # on a transposed (Fortran-ordered) matrix and strided vectors.
+        rng = np.random.default_rng(32)
+        rows, cols = shape
+        mat = rng.standard_normal((cols, rows)).T if view else rng.standard_normal(shape)
+        x = rng.standard_normal((cols, 2))[:, 1] if view else rng.standard_normal(cols)
+        y = rng.standard_normal((rows, 2))[:, 1] if view else rng.standard_normal(rows)
+        op = LinearMap(mat)
+        assert op.mat.flags.c_contiguous != (view and min(shape) > 1)
+        np.testing.assert_array_equal(op.matvec(x).view(np.int64), (mat @ x).view(np.int64))
+        np.testing.assert_array_equal(op.rmatvec(y).view(np.int64), (mat.T @ y).view(np.int64))
+
     def test_shape_checks(self):
         op = LinearMap(np.ones((2, 3)))
         with pytest.raises(ValueError, match="dimension mismatch"):

@@ -486,6 +486,31 @@ class TestSweep:
         assert np.all(np.isfinite(np.array(trace.rows, dtype=float)))
         assert np.all(np.isfinite(x)) and np.all(np.isfinite(y))
 
+    @pytest.mark.parametrize("start, step", [(1.0, 1.0), (1e160, 1.0), (1e-170, 1e-200)],
+                             ids=["fast-path", "overflow", "underflow"])
+    def test_residual_column_is_scaled_norm_bitwise(self, start, step):
+        # solve takes both norms of a sweep inline and calls scaled_norm
+        # only when a sum of squares is not a finite normal number.  Either
+        # way its residual column is scaled_norm's, bit for bit.  From 1e160
+        # the squares overflow; from 1e-170 they underflow, and at steps of
+        # 1e-200 the squared step does too.  (The zero start would rescale
+        # too: a zero sum is not normal.)
+        prob = lad_like(17, m=20, n=10)
+        p0 = np.full(10, start)
+        with np.errstate(over="ignore"):
+            _, _, trace = solve(prob, ConstantPolicy(step, step), max_iter=20, tol=0.0, p0=p0)
+            state = initial_state(prob, step, step, p0=p0)
+            want, rescaled = [], 0
+            for _ in range(20):
+                p, q = state.p, state.q
+                state, _ = pd_dr_step(state, prob)
+                dp, dq = state.p - p, state.q - q
+                for u, v in ((p, q), (dp, dq)):
+                    rescaled += not np.finfo(float).tiny <= u.dot(u) + v.dot(v) < np.inf
+                want.append(linalg.scaled_norm(dp, dq) / max(1.0, linalg.scaled_norm(p, q)))
+        assert_bitwise(trace.column("residual"), np.array(want))
+        assert (rescaled > 0) == (start != 1.0)
+
     def test_diverged_state_is_the_state_before_the_bad_sweep(self):
         # The state carried by the exception equals, bitwise, the state a
         # clean run holds after the same number of sweeps.

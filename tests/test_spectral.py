@@ -299,6 +299,23 @@ class TestOptimalStepsizes:
             optimal_local_stepsizes(z1, np.ones(1), a1, np.eye(1))
 
 
+GENERAL_COUPLINGS = [((3, 5), 3), ((5, 3), 3), ((4, 6), 2), ((4, 4), 1), ((3, 5), 0)]
+GENERAL_COUPLING_IDS = ["wide", "tall", "deficient-rect", "deficient-square", "zero"]
+
+
+def general_pair(shape, rank):
+    """A pair with an (m, n) = ``shape`` coupling of the given rank and
+    random positive definite blocks; either dimension may be 0."""
+    rng = np.random.default_rng(64 + rank)
+    m, n = shape
+    g1 = rng.standard_normal((n, n))
+    g2 = rng.standard_normal((m, m))
+    k = rng.uniform(size=(m, rank)) @ rng.uniform(size=(rank, n))
+    return LinearMonotonePair(block_one=g1.T @ g1 + 0.1 * np.eye(n),
+                              block_two_inv=np.linalg.inv(g2.T @ g2 + 0.1 * np.eye(m)),
+                              coupling=k)
+
+
 class TestRadiusScan:
     def test_row_order_and_best(self):
         pair = gen_monotone_pair(2, half_dim=4)
@@ -394,22 +411,36 @@ class TestRadiusScan:
         assert (scan.best.t, scan.best.s) == want_best[:2]
 
 
-    @pytest.mark.parametrize("shape, rank", [
-        ((3, 5), 3), ((5, 3), 3), ((4, 6), 2), ((4, 4), 1), ((3, 5), 0)],
-        ids=["wide", "tall", "deficient-rect", "deficient-square", "zero"])
+    @pytest.mark.parametrize("shape, rank", GENERAL_COUPLINGS, ids=GENERAL_COUPLING_IDS)
     def test_general_couplings_match_reference(self, shape, rank):
         # K of any shape and rank, not only the square full-rank K of
-        # gen_monotone_pair: the SVD is zero-padded on the longer side.
-        rng = np.random.default_rng(64 + rank)
-        m, n = shape
-        g1 = rng.standard_normal((n, n))
-        g2 = rng.standard_normal((m, m))
-        k = rng.uniform(size=(m, rank)) @ rng.uniform(size=(rank, n))
-        pair = LinearMonotonePair(block_one=g1.T @ g1 + 0.1 * np.eye(n),
-                                  block_two_inv=np.linalg.inv(g2.T @ g2 + 0.1 * np.eye(m)),
-                                  coupling=k)
-        assert np.linalg.matrix_rank(k) == rank
+        # gen_monotone_pair: the thin SVD covers every shape and rank.
+        pair = general_pair(shape, rank)
+        assert np.linalg.matrix_rank(pair.coupling) == rank
         assert_scan_matches_reference(pair, log_grid(1e-6, 1e6, 7))
+
+    @pytest.mark.parametrize("shape, rank", GENERAL_COUPLINGS + [((3, 0), 0), ((0, 3), 0)],
+                             ids=GENERAL_COUPLING_IDS + ["no-primal", "no-dual"])
+    def test_axis_norms_match_full_matrix_norms(self, shape, rank, monkeypatch):
+        # The scan takes the bound's three operator norms per axis; they
+        # must agree with the full-matrix norms that iteration_matrix takes
+        # to 4 ulp, also when one block is empty and its row sums are too.
+        pair = general_pair(shape, rank)
+        real = spectral._check_identity
+        checked = []
+
+        def compare_norms(da, db, h, *norms):
+            eye = np.eye(da.shape[0])
+            for got, full in zip(norms, (eye + db, eye + da, eye - da)):
+                want = np.linalg.norm(full, np.inf)
+                assert abs(got - want) <= 4 * np.spacing(want)
+            checked.append(None)
+            real(da, db, h, *norms)
+
+        monkeypatch.setattr(spectral, "_check_identity", compare_norms)
+        grid = log_grid(1e-6, 1e6, 7)
+        radius_scan(pair, grid, grid)
+        assert len(checked) == grid.size ** 2
 
     def test_wide_grid_passes_identity_check(self):
         # Every pair of [1e-6, 1e6] passes the unchanged residual check.
@@ -433,6 +464,51 @@ class TestRadiusScan:
                 with pytest.raises(IdentityCheckError,
                                    match="iteration-matrix identity violated: gap"):
                     radius_scan(pair, [t], [s])
+
+    @pytest.mark.parametrize("s", [1e-6, 1e6])
+    @pytest.mark.parametrize("t", [1e-6, 1e6])
+    def test_planted_error_in_axis_inverse_raises_at_extreme_steps(self, t, s, monkeypatch):
+        # The plant of the test above at the corners of [1e-6, 1e6], 1e-5
+        # relative.  At t*s = 1 the bound's ||I + DB|| ||I + DA|| is about 5e13,
+        # about 3e6 times ||(I + DB)(I + DA)||, so the check admits a 1e-8
+        # plant there; 1e-5 is rejected by a factor of about 40.
+        rng = np.random.default_rng(66)
+        plain_inv = np.linalg.inv
+        pair = gen_monotone_pair(4, half_dim=5)
+
+        def planted_inv(mat):
+            x = plain_inv(mat)
+            return x + 1e-5 * np.abs(x).max() * rng.choice([-1.0, 1.0], size=x.shape)
+
+        monkeypatch.setattr(np.linalg, "inv", planted_inv)
+        with pytest.raises(IdentityCheckError, match="iteration-matrix identity violated: gap"):
+            radius_scan(pair, [t], [s])
+
+    def test_one_inverse_per_grid_value_and_no_solve(self, monkeypatch):
+        # Factors are per grid value, matrices per pair: len(t) + len(s)
+        # inversions, no LU solve, and one eigenvalue call per pair through
+        # the module attribute.
+        pair = gen_monotone_pair(7, half_dim=6)
+        calls = {"inv": 0, "spectral_radius": 0}
+        plain_inv = np.linalg.inv
+        plain_radius = spectral.spectral_radius
+
+        def counted_inv(mat):
+            calls["inv"] += 1
+            return plain_inv(mat)
+
+        def counted_radius(mat):
+            calls["spectral_radius"] += 1
+            return plain_radius(mat)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("LU solve on the scan path")
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        monkeypatch.setattr(spectral, "spectral_radius", counted_radius)
+        radius_scan(pair, log_grid(1e-2, 1e2, 3), log_grid(1e-3, 1e3, 4))
+        assert calls == {"inv": 3 + 4, "spectral_radius": 3 * 4}
 
     def test_singular_axis_resolvent_raises(self):
         # block_one = -I at t = 1 makes I + tA1 the zero matrix.
