@@ -57,7 +57,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import _TINY, Coupling, check_diagonal, check_steps, scaled_norm
+from .linalg import Coupling, check_diagonal, check_steps, scaled_norm
 from .ppa_core import IterationDiverged, PreconditionedResolvent
 
 __all__ = [
@@ -434,15 +434,9 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
     for k in range(max_iter):
         try:
             p, q = state.p, state.q
-            # scaled_norm's fast path inline; it is called only to rescale
-            # a sum of squares that is not a finite normal number.
-            sq = p.dot(p) + q.dot(q)
-            prev_norm = math.sqrt(sq) if _TINY <= sq < math.inf else scaled_norm(p, q)
+            prev_norm = scaled_norm(p, q)
             state, out = pd_dr_step(state, prob)
-            dp = state.p - p
-            dq = state.q - q
-            sq = dp.dot(dp) + dq.dot(dq)
-            step_norm = math.sqrt(sq) if _TINY <= sq < math.inf else scaled_norm(dp, dq)
+            step_norm = scaled_norm(state.p - p, state.q - q)
             residual = step_norm / max(1.0, prev_norm)
             # The sweep's divergence check.  p and q are finite, so any
             # non-finite entry of x, y, u or v makes the residual non-finite.

@@ -355,8 +355,7 @@ def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
     I + sA2 (per s) is inverted, and the inverse and I - tA1 or I - sA2 are
     projected onto V or U.  Once per pair, with G = diag(1 / (1 + ts S^2)),
     J - I = [[V (G - I) V', -t V G S U'], [s U S G V', U (G - I) U']], so
-    h costs two matrix products of those factors, scaled by G, whose
-    operands are written into buffers allocated once per scan.  Each h
+    h costs two matrix products of those factors, scaled by G.  Each h
     then passes the residual check of :func:`iteration_matrix` and costs
     one :func:`spectral_radius`, which computes eigenvalues only.
 
@@ -393,28 +392,20 @@ def radius_scan(pair: LinearMonotonePair, t_grid, s_grid) -> RadiusScan:
     u, sigma, vt = np.linalg.svd(pair.coupling, full_matrices=False)
     sig2 = sigma ** 2
     s_axis = [_axis_factors(pair.block_two_inv, b[n:, :n], s, u, sigma) for s in s_vals]
-    # Every pair writes the same blocks of these; the blocks of DA and DB
-    # that are zero at every pair are never written.
-    left_one = np.empty((n, sigma.size))
-    left_two = np.empty((m, sigma.size))
-    right_one = np.empty((sigma.size, n + m))
-    right_two = np.empty((sigma.size, n + m))
+    # Every pair writes the same blocks of these; the blocks that are zero
+    # at every pair are never written.
     da = np.zeros((n + m, n + m))
     db = np.zeros((n + m, n + m))
     rows = []
     for t in t_vals:
         one = _axis_factors(pair.block_one, b[:n, n:], t, vt.T, sigma)
-        right_two[:, :n] = one.z
         da[:n, :n] = one.da
         db[:n, n:] = one.db
         for s, two in zip(s_vals, s_axis):
             g = 1.0 / (1.0 + t * s * sig2)
-            np.multiply(one.sz, s, out=right_one[:, :n])
-            right_one[:, n:] = two.z
-            np.multiply(two.sz, -t, out=right_two[:, n:])
             h = np.empty((n + m, n + m))
-            np.matmul(np.multiply(one.res_basis, -t * g, out=left_one), right_one, out=h[:n])
-            np.matmul(np.multiply(two.res_basis, s * g, out=left_two), right_two, out=h[n:])
+            np.matmul(one.res_basis * (-t * g), np.hstack([s * one.sz, two.z]), out=h[:n])
+            np.matmul(two.res_basis * (s * g), np.hstack([one.z, -t * two.sz]), out=h[n:])
             h[:n, :n] += one.res
             h[n:, n:] += two.res
             da[n:, n:] = two.da

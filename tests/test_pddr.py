@@ -489,12 +489,12 @@ class TestSweep:
     @pytest.mark.parametrize("start, step", [(1.0, 1.0), (1e160, 1.0), (1e-170, 1e-200)],
                              ids=["fast-path", "overflow", "underflow"])
     def test_residual_column_is_scaled_norm_bitwise(self, start, step):
-        # solve takes both norms of a sweep inline and calls scaled_norm
-        # only when a sum of squares is not a finite normal number.  Either
-        # way its residual column is scaled_norm's, bit for bit.  From 1e160
-        # the squares overflow; from 1e-170 they underflow, and at steps of
-        # 1e-200 the squared step does too.  (The zero start would rescale
-        # too: a zero sum is not normal.)
+        # solve's residual column is scaled_norm's, bit for bit, on its
+        # fast path and where it rescales a sum of squares that is not a
+        # finite normal number.  From 1e160 the squares overflow; from
+        # 1e-170 they underflow, and at steps of 1e-200 the squared step
+        # does too.  (The zero start would rescale too: a zero sum is not
+        # normal.)
         prob = lad_like(17, m=20, n=10)
         p0 = np.full(10, start)
         with np.errstate(over="ignore"):
