@@ -186,9 +186,12 @@ def log_grid(lo: float, hi: float, num: int) -> np.ndarray:
 
 def run_comparison(prob: PdProblem, policies: Sequence, *, max_iter: int,
                    tol: float = 0.0, t0: float = 1.0, s0: float = 1.0) -> list[SolveTrace]:
-    """Solve the same problem once per policy from identical starts."""
-    traces = []
-    for policy in policies:
-        _, _, trace = pddr.solve(prob, policy, max_iter=max_iter, tol=tol, t0=t0, s0=s0)
-        traces.append(trace)
-    return traces
+    """Solve the same problem once per policy from identical starts and
+    return the traces, in policy order.
+
+    One call of :func:`drsplit.pddr.solve_many`: one policy is one
+    ``pddr.solve``, several advance in lockstep on stacks, and every trace,
+    and any exception, is bitwise what a loop of ``pddr.solve`` calls gives.
+    """
+    return [trace for _, _, trace in pddr.solve_many(
+        prob, policies, max_iter=max_iter, tol=tol, t0=t0, s0=s0)]

@@ -60,6 +60,7 @@ __all__ = [
     "eig_all",
     "eig_pairs",
     "scaled_norm",
+    "scaled_norm_rows",
     "seminorm",
     "spd_factor",
     "spd_solve",
@@ -290,6 +291,27 @@ def scaled_norm(*vecs) -> float:
     return scale * math.sqrt(total)
 
 
+def scaled_norm_rows(*stacks) -> np.ndarray:
+    """:func:`scaled_norm` row by row: entry i is ``scaled_norm(*(v[i] for v
+    in stacks))``, bit for bit, for 2-D float stacks with equal row counts.
+
+    Each row's ``v.dot(v)`` is one ``np.vecdot`` row, the BLAS dot that
+    ``ndarray.dot`` calls for a 1-D vector.  Only rows whose sum is not
+    finite or below the smallest normal float64 are passed to
+    :func:`scaled_norm` to be rescaled; the others are the square roots of
+    their sums.
+    """
+    total = np.vecdot(stacks[0], stacks[0])
+    for v in stacks[1:]:
+        total += np.vecdot(v, v)
+    out = np.sqrt(total)
+    for i, sq in enumerate(total.tolist()):
+        # False for a NaN sum too.
+        if not _TINY <= sq < math.inf:
+            out[i] = scaled_norm(*(v[i] for v in stacks))
+    return out
+
+
 def seminorm(u, mat) -> float:
     """Seminorm sqrt(<M u, u>) induced by a symmetric PSD matrix M.
 
@@ -316,7 +338,10 @@ def seminorm(u, mat) -> float:
 class Coupling(Protocol):
     """What the solver reads of a coupling operator K, and all of it.
 
-    ``shape`` is ``(rows, cols)``; ``matvec`` applies K and ``rmatvec`` K'.
+    ``shape`` is ``(rows, cols)``; ``matvec`` applies K and ``rmatvec`` K',
+    to one vector or, row by row, to a ``(B, d)`` stack of them, with each
+    row's bits those of its own product
+    (:func:`drsplit.pddr.solve_many` passes stacks).
     ``schur(ts)`` returns the factored Schur complement on the smaller side,
     for exactly that ``ts``: ``I + ts*KK'`` when rows < cols, ``I + ts*K'K``
     otherwise.  :func:`drsplit.pddr.block_resolvent` forms the right-hand
@@ -334,8 +359,20 @@ class Coupling(Protocol):
     def schur(self, ts: float) -> Schur: ...
 
 
+def _stacked_product(mat: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    # One matrix-vector product per row, as a batched np.matmul: row i has
+    # the bits of mat.dot(stack[i]).  A matrix product (stack @ mat.T) would
+    # block the sums differently and move the last bits.
+    return np.matmul(mat, stack[:, :, None])[:, :, 0]
+
+
 class LinearMap:
-    """Dense linear operator with forward and adjoint application."""
+    """Dense linear operator with forward and adjoint application.
+
+    ``matvec`` and ``rmatvec`` take one vector, or a ``(B, d)`` stack of
+    them, one per row, and return a stack whose row i has the bits of the
+    product with row i alone.
+    """
 
     def __init__(self, mat):
         arr = np.asarray(mat, dtype=float)
@@ -354,6 +391,8 @@ class LinearMap:
         v = np.asarray(x, dtype=float)
         cols = self.mat.shape[1]
         if v.shape != (cols,):
+            if v.ndim == 2 and v.shape[1] == cols:
+                return _stacked_product(self.mat, v)
             raise ValueError(f"dimension mismatch: expected {cols}, got {v.shape}")
         return self.mat.dot(v)
 
@@ -361,6 +400,8 @@ class LinearMap:
         v = np.asarray(y, dtype=float)
         rows = self.mat.shape[0]
         if v.shape != (rows,):
+            if v.ndim == 2 and v.shape[1] == rows:
+                return _stacked_product(self.mat.T, v)
             raise ValueError(f"dimension mismatch: expected {rows}, got {v.shape}")
         return self.mat.T.dot(v)
 
@@ -403,6 +444,8 @@ class DifferenceMap:
 
     Products work by slicing, in O(n); for finite input they equal the dense
     products in value, and bit for bit except for the sign of a zero result.
+    Like :class:`LinearMap`'s, they take one vector or a ``(B, d)`` stack,
+    row by row.
     ``DD'`` is tridiagonal (2 on the diagonal, -1 beside it), so the Schur
     complement ``I + ts*DD'`` is factored and solved as a tridiagonal LDLᵀ
     (LAPACK ``dpttrf``/``dpttrs``, imported from scipy on the first
@@ -424,12 +467,20 @@ class DifferenceMap:
     def matvec(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float)
         if v.shape != (self.n,):
+            if v.ndim == 2 and v.shape[1] == self.n:
+                return v[:, 1:] - v[:, :-1]
             raise ValueError(f"dimension mismatch: expected {self.n}, got {v.shape}")
         return v[1:] - v[:-1]
 
     def rmatvec(self, y) -> np.ndarray:
         v = np.asarray(y, dtype=float)
         if v.shape != (self.n - 1,):
+            if v.ndim == 2 and v.shape[1] == self.n - 1:
+                out = np.empty((v.shape[0], self.n))
+                out[:, 0] = -v[:, 0]
+                np.subtract(v[:, :-1], v[:, 1:], out=out[:, 1:-1])
+                out[:, -1] = v[:, -1]
+                return out
             raise ValueError(
                 f"dimension mismatch: expected {self.n - 1}, got {v.shape}")
         out = np.empty(self.n)

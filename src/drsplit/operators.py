@@ -10,9 +10,12 @@ Each prox is built by a factory (``scaled_l1_prox`` and the rest) that
 checks and fixes its weight, shift, data or bound and returns a plain
 callable ``prox(v, step) -> array``, the form :class:`drsplit.pddr.PdProblem`
 takes for f and g*.  The callable takes a float64 array ``v`` and returns
-one shaped like it.  Every prox that reads its stepsize rejects a NaN,
-infinite or negative one, and the shift and data proxes reject a ``v`` whose
-shape differs from their shift or data.
+one shaped like it.  ``v`` is one point with a float ``step``, or a ``(B, d)``
+stack of points, one per row, with a ``(B, 1)`` step column; row i of the
+result has the bits of the call on row i and its step alone.  Every prox
+that reads its stepsize rejects a NaN, infinite or negative one, in any row,
+and the shift and data proxes reject a ``v`` whose shape (or row shape)
+differs from their shift or data.
 """
 
 import math
@@ -31,10 +34,20 @@ __all__ = [
 ]
 
 
+# Bound once: the class test below runs on every prox call of a solve, and
+# looking up np.ndarray there would cost five times the test itself.
+_NDARRAY = np.ndarray
+
+
 def _check_step(step) -> None:
-    # Written so that a NaN stepsize fails too.
-    if not 0 <= step < math.inf:
-        raise ValueError(f"stepsize must be finite and nonnegative, got {step}")
+    # Written so that a NaN stepsize fails too.  A step column is the one
+    # ndarray a prox takes as its step; its rows are checked as floats.
+    if step.__class__ is _NDARRAY:
+        if all(0 <= row < math.inf for row in step.ravel().tolist()):
+            return
+    elif 0 <= step < math.inf:
+        return
+    raise ValueError(f"stepsize must be finite and nonnegative, got {step}")
 
 
 def moreau_dual_resolvent(x, sigma_diag, primal_resolvent) -> np.ndarray:
@@ -82,7 +95,7 @@ def shifted_l1_conjugate_prox(shift) -> Callable[[np.ndarray, float], np.ndarray
 
     def prox(v, step):
         _check_step(step)
-        if v.shape != b.shape:
+        if v.shape != b.shape and not (v.ndim == 2 and v.shape[1:] == b.shape):
             raise ValueError(f"shape mismatch: {v.shape} vs shift {b.shape}")
         return np.minimum(np.maximum(v - step * b, -1.0), 1.0)
 
@@ -95,7 +108,7 @@ def quadratic_fidelity_prox(data) -> Callable[[np.ndarray, float], np.ndarray]:
 
     def prox(v, step):
         _check_step(step)
-        if v.shape != d.shape:
+        if v.shape != d.shape and not (v.ndim == 2 and v.shape[1:] == d.shape):
             raise ValueError(f"shape mismatch: {v.shape} vs data {d.shape}")
         return (v + step * d) / (1.0 + step)
 

@@ -34,6 +34,13 @@ sweep's index and the state it started from.  Stepsizes are checked where
 they enter, by one rule (:func:`~drsplit.linalg.check_steps`): t and s
 must be finite and positive, and t*s finite.
 
+:func:`solve_many` runs several policies on one problem.  With several, it
+advances the runs in lockstep on ``(B, d)`` stacks of shadow points, one
+stacked call of each prox and coupling product per sweep, while each run
+keeps its own Schur factor, trace, objective blocks, divergence check, tol
+stop and policy updates; every run is bitwise what its own :func:`solve`
+returns.
+
 The trace is columnar: each sweep appends its five scalars (k, objective,
 t, s, residual) to one growable float64 buffer, which :class:`SolveTrace`
 wraps as a read-only ``(N, 5)`` array when the loop ends: 40 bytes per
@@ -57,7 +64,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import Coupling, check_diagonal, check_steps, scaled_norm
+from .linalg import Coupling, check_diagonal, check_steps, scaled_norm, scaled_norm_rows
 from .ppa_core import IterationDiverged, PreconditionedResolvent
 
 __all__ = [
@@ -74,6 +81,7 @@ __all__ = [
     "pd_dr_step",
     "preconditioned_dr_step",
     "solve",
+    "solve_many",
     "stacked_prox_resolvent",
 ]
 
@@ -85,6 +93,11 @@ class PdProblem:
     ``f_prox(p, t)`` evaluates prox_{t f} and ``gstar_prox(q, s)`` prox_{s g*}
     (conjugate side), each a plain callable returning a float64 array shaped
     like its point; ``coupling`` is K with forward and adjoint application.
+    :func:`solve` passes each prox one point and a float step.
+    :func:`solve_many` with several policies passes a ``(B, d)`` stack of
+    points, one per run, with a ``(B, 1)`` step column, and the coupling's
+    ``matvec`` and ``rmatvec`` ``(B, d)`` stacks; row i of each result must
+    be what the call on row i alone returns.
     ``objective(xs)`` evaluates the primal objective at a stack of
     candidates, an ``(N, primal_dim)`` float64 array with one x per row, and
     returns the N values as an array.
@@ -341,6 +354,31 @@ def dr_as_proximal_point(prob: PdProblem,
     return PreconditionedResolvent(apply=apply, metric=metric)
 
 
+def _check_settings(max_iter: int, tol: float, t0: float, s0: float) -> None:
+    """The settings :func:`solve` and :func:`solve_many` check before any run."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    check_steps(t0, s0, "starting stepsizes")
+
+
+def _block_values(objective, block: np.ndarray, rows: int) -> tuple[np.ndarray, int]:
+    """The objective at a full block of candidates: its first ``rows``
+    values, and the index of the first non-finite one among them, or -1.
+
+    Raises ``ValueError`` unless the objective returns one value per row.
+    """
+    height = block.shape[0]
+    values = np.asarray(objective(block), dtype=float)
+    if values.shape != (height,):
+        raise ValueError(f"objective returned shape {values.shape} for "
+                         f"{height} candidates, expected ({height},)")
+    values = values[:rows]
+    finite = np.isfinite(values)
+    return values, -1 if finite.all() else int(finite.argmin())
+
+
 def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
           t0: float = 1.0, s0: float = 1.0, p0=None, q0=None
           ) -> tuple[np.ndarray, np.ndarray, SolveTrace]:
@@ -393,11 +431,7 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
         ``update`` returns are not finite and positive with a finite product
         t*s; or if the objective does not return one value per row.
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    check_steps(t0, s0, "starting stepsizes")
+    _check_settings(max_iter, tol, t0, s0)
     state = initial_state(prob, *policy.initial(t0, s0), p0=p0, q0=q0)
     t, s = state.t, state.s
     frozen_from = getattr(policy, "frozen_from", None)
@@ -415,14 +449,8 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
             return
         count = len(starts)
         first = len(record) // 5 - count
-        values = np.asarray(prob.objective(block), dtype=float)
-        if values.shape != (height,):
-            raise ValueError(f"objective returned shape {values.shape} for "
-                             f"{height} candidates, expected ({height},)")
-        values = values[:count]
-        finite = np.isfinite(values)
-        if not finite.all():
-            j = int(finite.argmin())
+        values, j = _block_values(prob.objective, block, count)
+        if j >= 0:
             p, q = starts[j]
             k = first + j
             raise IterationDiverged(k, state=DRState(
@@ -462,3 +490,232 @@ def solve(prob: PdProblem, policy, *, max_iter: int, tol: float,
             break
     fill_objectives()
     return out.x, out.y, SolveTrace(np.frombuffer(record).reshape(-1, 5))
+
+
+# Rows of a lockstep record allocated at first; it doubles as the runs go on,
+# up to max_iter, so a large budget with an early tol stop reserves no more.
+_RECORD_ROWS = 1024
+
+
+class _Run:
+    """One policy's run in :func:`solve_many`'s lockstep: its position in
+    the policy list, its stepsizes as the policy returned them, the step
+    from which its updates stop, and its factored Schur complement (None
+    until fetched for the current t*s)."""
+
+    __slots__ = ("index", "policy", "t", "s", "update_until", "schur")
+
+    def __init__(self, index, policy, t, s, update_until):
+        self.index, self.policy, self.t, self.s = index, policy, t, s
+        self.update_until = update_until
+        self.schur = None
+
+
+def solve_many(prob: PdProblem, policies, *, max_iter: int, tol: float,
+               t0: float = 1.0, s0: float = 1.0
+               ) -> list[tuple[np.ndarray, np.ndarray, SolveTrace]]:
+    """Run :func:`solve` once per policy, from identical zero starts.
+
+    Returns one ``(x, y, trace)`` per policy, in order, each bitwise what
+    ``solve(prob, policy, max_iter=max_iter, tol=tol, t0=t0, s0=s0)``
+    returns.  One policy is one call of :func:`solve`.  Several advance in
+    lockstep: the shadow points of every run form ``(B, primal_dim)`` and
+    ``(B, dual_dim)`` stacks with ``(B, 1)`` step columns, and each sweep
+    makes one stacked call of each prox, of ``coupling.matvec`` and of
+    ``coupling.rmatvec``, so the per-call cost is paid once for all runs.
+    Each run keeps what is its own: its Schur complement (fetched with
+    ``coupling.schur`` only when its t*s changes, and solved row by row),
+    its trace, its objective blocks, its divergence check, its tol stop and
+    its policy updates up to its ``frozen_from``.  The problem's proxes and
+    coupling must take stacks (see :class:`PdProblem`); policies are called
+    interleaved, so one policy object with state of its own must not be
+    listed twice.
+
+    Failures are raised as a loop of :func:`solve` calls raises them: the
+    first run in policy order that fails raises its exception, with the same
+    step and start state, after every run before it has finished.  An
+    exception from a stacked prox or product belongs to no single run and
+    propagates as raised.
+    """
+    policies = list(policies)
+    if len(policies) < 2:
+        return [solve(prob, policy, max_iter=max_iter, tol=tol, t0=t0, s0=s0)
+                for policy in policies]
+    _check_settings(max_iter, tol, t0, s0)
+    results = [None] * len(policies)
+    # The earliest failed run's index and exception; runs from that index on
+    # are no longer advanced.
+    limit, failure = len(policies), None
+    live = []
+    for index, policy in enumerate(policies):
+        try:
+            state = initial_state(prob, *policy.initial(t0, s0))
+            frozen_from = getattr(policy, "frozen_from", None)
+        except Exception as err:
+            limit, failure = index, err
+            break
+        live.append(_Run(index, policy, state.t, state.s,
+                         max_iter if frozen_from is None else frozen_from))
+    if not live:
+        raise failure
+
+    f_prox, gstar_prox, coupling = prob.f_prox, prob.gstar_prox, prob.coupling
+    n, m = prob.primal_dim, prob.dual_dim
+    wide = coupling.shape[0] < coupling.shape[1]
+    height = objective_block_rows(n, m)
+    count = len(live)
+    p_stack, q_stack = np.zeros((count, n)), np.zeros((count, m))
+    # The step columns, (B, 1) each and contiguous: numpy broadcasts a
+    # strided column more slowly.
+    t_col = np.array([[run.t] for run in live])
+    s_col = np.array([[run.s] for run in live])
+    # Run i's trace rows, in the order of the trace columns; k is written
+    # when the run finishes, the objective when its block is evaluated.
+    record = np.empty((count, min(max_iter, _RECORD_ROWS), 5))
+    blocks = np.zeros((count, height, n))
+    # The (p, q) stacks each sweep of the unevaluated block rows started from.
+    starts = []
+    # The Schur solves' rows: v when the dual side is smaller, else u.
+    solved = np.zeros((count, m if wide else n))
+    last_update = max(run.update_until for run in live)
+
+    def fill(i, first, rows):
+        # solve's fill_objectives, for the run at position i.
+        if not rows:
+            return
+        values, j = _block_values(prob.objective, blocks[i], rows)
+        if j >= 0:
+            p, q = starts[j]
+            k = first + j
+            raise IterationDiverged(k, state=DRState(
+                p=p[i].copy(), q=q[i].copy(), t=float(record[i, k, 2]),
+                s=float(record[i, k, 3]), k=k))
+        record[i, first:first + rows, 1] = values
+
+    def fail(i, run, err, first, rows):
+        # Records the run's failure.  solve evaluates the pending rows before
+        # any exception leaves it, so an earlier non-finite objective wins.
+        nonlocal limit, failure
+        try:
+            fill(i, first, rows)
+        except Exception as earlier:
+            err = earlier
+        limit, failure = run.index, err
+
+    for k in range(max_iter):
+        j = k % height
+        first = k - j
+        x_stack = f_prox(p_stack, t_col)
+        y_stack = gstar_prox(q_stack, s_col)
+        r1 = 2.0 * x_stack - p_stack
+        r2 = 2.0 * y_stack - q_stack
+        if wide:
+            rhs = r2 + s_col * coupling.matvec(r1)
+        else:
+            rhs = r1 - t_col * coupling.rmatvec(r2)
+        for i, run in enumerate(live):
+            if run.index >= limit:
+                break
+            schur = run.schur
+            if schur is None:
+                try:
+                    schur = run.schur = coupling.schur(run.t * run.s)
+                except Exception as err:
+                    fail(i, run, err, first, j)
+                    break
+            solved[i] = schur.solve(rhs[i])
+        if wide:
+            u_stack, v_stack = r1 - t_col * coupling.rmatvec(solved), solved
+        else:
+            u_stack, v_stack = solved, r2 + s_col * coupling.matvec(solved)
+        p_next = p_stack + u_stack - x_stack
+        q_next = q_stack + v_stack - y_stack
+        residuals = (scaled_norm_rows(p_next - p_stack, q_next - q_stack)
+                     / np.maximum(1.0, scaled_norm_rows(p_stack, q_stack)))
+        # The sweep's divergence check, as in solve.  Rows are in policy
+        # order, so the first non-finite one is the only run that can fail
+        # here: the rows after it are dropped with it.
+        if not residuals.max() < math.inf:
+            i = int(np.isfinite(residuals).argmin())
+            run = live[i]
+            if run.index < limit:
+                start = DRState(p=p_stack[i].copy(), q=q_stack[i].copy(),
+                                t=run.t, s=run.s, k=k)
+                fail(i, run, IterationDiverged(k, state=start), first, j)
+        blocks[:, j] = x_stack
+        starts.append((p_stack, q_stack))
+        if k == record.shape[1]:
+            grown = np.empty((record.shape[0], min(max_iter, 2 * k), 5))
+            grown[:, :k] = record
+            record = grown
+        record[:, k, 2:3] = t_col
+        record[:, k, 3:4] = s_col
+        record[:, k, 4] = residuals
+        if k < last_update:
+            for i, run in enumerate(live):
+                if run.index >= limit:
+                    break
+                if k < run.update_until:
+                    try:
+                        t, s = run.policy.update(run.t, run.s, x_stack[i], p_stack[i],
+                                                 y_stack[i], q_stack[i], k)
+                        check_steps(t, s, f"the stepsizes the policy returned at step {k}")
+                    except Exception as err:
+                        fail(i, run, err, first, j + 1)
+                        break
+                    t_col[i, 0], s_col[i, 0] = t, s
+                    if t * s != run.schur.ts:
+                        run.schur = None
+                    run.t, run.s = t, s
+        pending = j + 1
+        if pending == height:
+            for i, run in enumerate(live):
+                if run.index >= limit:
+                    break
+                try:
+                    fill(i, first, pending)
+                except Exception as err:
+                    fail(i, run, err, first, 0)
+                    break
+            starts.clear()
+            pending = 0
+        if k + 1 == max_iter:
+            finishing = range(len(live))
+        elif 0.0 < tol:
+            finishing = np.flatnonzero(residuals <= tol)
+        else:
+            finishing = ()
+        finished = False
+        for i in finishing:
+            run = live[i]
+            if run.index >= limit:
+                break
+            try:
+                fill(i, first, pending)
+            except Exception as err:
+                fail(i, run, err, first, 0)
+                break
+            rows = record[i, :k + 1]
+            rows[:, 0] = np.arange(k + 1)
+            results[run.index] = (x_stack[i].copy(), y_stack[i].copy(),
+                                  SolveTrace(rows.copy()))
+            finished = True
+        # Runs that finished or failed, and runs after a failed one, leave
+        # the stacks.
+        if finished or live[-1].index >= limit:
+            keep = [i for i, run in enumerate(live)
+                    if run.index < limit and results[run.index] is None]
+            if not keep:
+                break
+            if len(keep) < len(live):
+                live = [live[i] for i in keep]
+                p_next, q_next = p_next[keep], q_next[keep]
+                t_col, s_col = t_col[keep], s_col[keep]
+                record, blocks = record[keep], blocks[keep]
+                starts = [(p[keep], q[keep]) for p, q in starts]
+                solved = np.zeros((len(live), solved.shape[1]))
+                last_update = max(run.update_until for run in live)
+        p_stack, q_stack = p_next, q_next
+    if failure is not None:
+        raise failure
+    return results

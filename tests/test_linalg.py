@@ -12,6 +12,7 @@ from drsplit.linalg import (
     eig_all,
     eig_pairs,
     scaled_norm,
+    scaled_norm_rows,
     seminorm,
     spd_factor,
     spd_solve,
@@ -316,12 +317,35 @@ class TestLinearMap:
         np.testing.assert_array_equal(op.matvec(x).view(np.int64), (mat @ x).view(np.int64))
         np.testing.assert_array_equal(op.rmatvec(y).view(np.int64), (mat.T @ y).view(np.int64))
 
+    @pytest.mark.parametrize("shape", [(7, 4), (4, 7), (0, 3), (3, 0)],
+                             ids=["tall", "wide", "no-rows", "no-cols"])
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_stacks_match_rows_bitwise(self, shape, count):
+        # Row i of a stacked product has the bits of row i's own product.
+        rng = np.random.default_rng(33)
+        rows, cols = shape
+        op = LinearMap(rng.standard_normal(shape))
+        xs, ys = rng.standard_normal((count, cols)), rng.standard_normal((count, rows))
+        assert_rows_bitwise(op.matvec(xs), [op.matvec(x.copy()) for x in xs], (count, rows))
+        assert_rows_bitwise(op.rmatvec(ys), [op.rmatvec(y.copy()) for y in ys], (count, cols))
+
     def test_shape_checks(self):
         op = LinearMap(np.ones((2, 3)))
         with pytest.raises(ValueError, match="dimension mismatch"):
             op.matvec(np.ones(2))
         with pytest.raises(ValueError, match="dimension mismatch"):
             op.rmatvec(np.ones(3))
+        for bad in (np.ones((4, 2)), np.ones((2, 2, 3))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op.matvec(bad)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op.rmatvec(np.ones((4, 3)))
+
+
+def assert_rows_bitwise(stack, rows, shape):
+    assert stack.shape == shape
+    want = np.array(rows).reshape(shape)
+    np.testing.assert_array_equal(stack.view(np.int64), want.view(np.int64))
 
 
 class TestScaledNorm:
@@ -352,6 +376,27 @@ class TestScaledNorm:
     def test_normal_sums_keep_plain_bits(self):
         for v in (np.full(3, 1e-150), np.array([1e-154, 3e-170]), np.arange(5.0)):
             assert scaled_norm(v) == math.sqrt(v.dot(v))
+
+    def test_rows_match_scaled_norm_bitwise(self):
+        # Normal rows take the fast path; rows whose squares overflow
+        # (1e160) or underflow (1e-170) are rescaled, as are NaN and inf
+        # rows, each among normal rows.
+        rng = np.random.default_rng(42)
+        ps, qs = rng.standard_normal((6, 30)), rng.standard_normal((6, 7))
+        assert_rows_bitwise(scaled_norm_rows(ps, qs), [scaled_norm(p, q) for p, q in zip(ps, qs)],
+                            (6,))
+        ps[1] *= 1e160
+        qs[3] *= 1e-170
+        ps[3] *= 1e-170
+        ps[4, 2], qs[5, 0] = np.nan, np.inf
+        with np.errstate(over="ignore"):
+            want = [scaled_norm(p, q) for p, q in zip(ps, qs)]
+            assert_rows_bitwise(scaled_norm_rows(ps, qs), want, (6,))
+            assert_rows_bitwise(scaled_norm_rows(qs), [scaled_norm(q) for q in qs], (6,))
+        assert np.isfinite(want[1]) and 0.0 < want[3] < 1e-160
+        assert np.isnan(want[4]) and want[5] == np.inf
+        assert_rows_bitwise(scaled_norm_rows(np.zeros((2, 3)), np.empty((2, 0))), [0.0, 0.0],
+                            (2,))
 
     def test_nonfinite_and_zero(self):
         assert scaled_norm(np.zeros(3), np.empty(0)) == 0.0
@@ -392,6 +437,15 @@ class TestDifferenceMap:
         for y in itertools.product(values, repeat=n - 1):
             check(d.rmatvec(np.array(y)), dense.rmatvec(np.array(y)))
 
+    @pytest.mark.parametrize("n", [2, 500])
+    def test_stacks_match_rows_bitwise(self, n):
+        rng = np.random.default_rng(n + 7)
+        d = DifferenceMap(n)
+        for count in (1, 4):
+            xs, ys = rng.standard_normal((count, n)), rng.standard_normal((count, n - 1))
+            assert_rows_bitwise(d.matvec(xs), [d.matvec(x.copy()) for x in xs], (count, n - 1))
+            assert_rows_bitwise(d.rmatvec(ys), [d.rmatvec(y.copy()) for y in ys], (count, n))
+
     def test_shape_without_dense_matrix(self):
         d = DifferenceMap(7)
         assert d.shape == (6, 7)
@@ -412,6 +466,10 @@ class TestDifferenceMap:
             d.matvec(np.ones(3))
         with pytest.raises(ValueError, match="dimension mismatch"):
             d.rmatvec(np.ones(4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            d.matvec(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            d.rmatvec(np.ones((2, 4)))
         with pytest.raises(ValueError, match="dimension mismatch"):
             d.schur(1.0).solve(np.ones(4))
         with pytest.raises(ValueError):

@@ -289,6 +289,16 @@ class TestMoreauDualResolvent:
             moreau_dual_resolvent(np.ones(2), np.array([bad, 1.0]), lambda u: u)
 
 
+# Each factory and whether its parameter (weight, shift, data or bound) is a
+# vector.
+FACTORIES = {
+    "l1": (scaled_l1_prox, False),
+    "l1-shift-conj": (shifted_l1_conjugate_prox, True),
+    "quad-fidelity": (quadratic_fidelity_prox, True),
+    "box-dual": (box_dual_prox, False),
+}
+
+
 class TestFactories:
     def test_scaled_l1(self):
         pm = scaled_l1_prox(2.0)
@@ -350,6 +360,33 @@ class TestFactories:
             with pytest.raises(ValueError, match="stepsize"):
                 pm(np.ones(2), bad)
 
+    @pytest.mark.parametrize("tag", sorted(FACTORIES))
+    def test_stack_matches_rows_bitwise(self, tag):
+        # A (B, d) stack with a (B, 1) step column: row i has the bits of
+        # the call on row i and its step alone.
+        factory, vector = FACTORIES[tag]
+        rng = np.random.default_rng(910)
+        pm = factory(rng.standard_normal(6) if vector else 0.7)
+        for count in (1, 5):
+            vs = rng.standard_normal((count, 6)) * 3.0
+            steps = 10.0 ** rng.uniform(-3, 3, size=(count, 1))
+            steps[0, 0] = 0.0
+            got = pm(vs, steps)
+            want = np.array([pm(v.copy(), float(step)) for v, step in zip(vs, steps[:, 0])])
+            assert got.shape == vs.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("pm", [scaled_l1_prox(1.0), shifted_l1_conjugate_prox(np.ones(2)),
+                                    quadratic_fidelity_prox(np.ones(2))],
+                             ids=["l1", "l1-shift-conj", "quad-fidelity"])
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_bad_step_in_any_row_rejected(self, pm, bad):
+        for row in range(3):
+            steps = np.ones((3, 1))
+            steps[row, 0] = bad
+            with pytest.raises(ValueError, match="stepsize"):
+                pm(np.ones((3, 2)), steps)
+
     @pytest.mark.parametrize("factory,param", [(shifted_l1_conjugate_prox, "shift"),
                                                (quadratic_fidelity_prox, "data")])
     @pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)], ids=["short", "long", "column"])
@@ -359,16 +396,6 @@ class TestFactories:
         pm = factory(np.ones(2))
         with pytest.raises(ValueError, match=f"shape mismatch: .* vs {param}"):
             pm(np.ones(shape), 1.0)
-
-
-# Each factory and whether its parameter (weight, shift, data or bound) is a
-# vector.
-FACTORIES = {
-    "l1": (scaled_l1_prox, False),
-    "l1-shift-conj": (shifted_l1_conjugate_prox, True),
-    "quad-fidelity": (quadratic_fidelity_prox, True),
-    "box-dual": (box_dual_prox, False),
-}
 
 
 def draw_param(data, vector, n, elements):

@@ -14,6 +14,7 @@ from drsplit.adaptive import AdaptiveConfig, ConstantPolicy, TAdaptivePolicy, Ts
 from drsplit.experiments import (
     gen_lad,
     gen_tv,
+    log_grid,
     make_lad_problem,
     make_tv_problem,
     run_comparison,
@@ -160,9 +161,9 @@ class TestBlockResolvent:
         solve(prob, ConstantPolicy(1.1, 1.1), max_iter=30, tol=0.0)
         assert len(calls) == 1
 
-    def test_one_eigendecomposition_per_operator(self, monkeypatch):
-        # Three policies on one LAD problem share its coupling: one eigh in
-        # all, and one spd_factor per change of t*s along the three runs.
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        """Record the shape of each eigh and the t*s of each spd_factor."""
         eighs, factored = [], []
         real_eigh, real_factor = np.linalg.eigh, linalg.spd_factor
 
@@ -176,9 +177,16 @@ class TestBlockResolvent:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(linalg, "spd_factor", counting_factor)
+        return eighs, factored
+
+    POLICIES = (ConstantPolicy(1.0, 1.0), TsAdaptivePolicy(), TAdaptivePolicy())
+
+    def test_one_eigendecomposition_per_operator(self, monkeypatch):
+        # Three solves on one LAD problem share its coupling: one eigh in
+        # all, and one spd_factor per change of t*s along the three runs.
+        eighs, factored = self.count_factorizations(monkeypatch)
         _, prob = gen_lad(3, m=40, n=20)
-        traces = run_comparison(prob, [ConstantPolicy(1.0, 1.0), TsAdaptivePolicy(),
-                                       TAdaptivePolicy()], max_iter=100)
+        traces = [solve(prob, policy, max_iter=100, tol=0.0)[2] for policy in self.POLICIES]
         assert eighs == [(20, 20)]
 
         def changes(ts):
@@ -190,6 +198,24 @@ class TestBlockResolvent:
         for ts in products:
             assert len(set(changes(ts))) == len(changes(ts))
         assert len(factored) > 10
+
+    def test_lockstep_factors_no_more_than_the_loop(self, monkeypatch):
+        # run_comparison advances the runs in lockstep, each keeping its own
+        # factor: the runs interleave on the coupling, so the order above
+        # does not hold, but each factored t*s is one a run used, and there
+        # are no more factorizations than the loop of solves makes.
+        eighs, factored = self.count_factorizations(monkeypatch)
+        _, prob = gen_lad(3, m=40, n=20)
+        for policy in self.POLICIES:
+            solve(prob, policy, max_iter=100, tol=0.0)
+        looped = len(factored)
+        del factored[:]
+        _, prob = gen_lad(3, m=40, n=20)
+        traces = run_comparison(prob, self.POLICIES, max_iter=100)
+        assert eighs == [(20, 20), (20, 20)]
+        used = {ts for tr in traces for ts in (tr.column("t") * tr.column("s")).tolist()}
+        assert set(factored) <= used
+        assert 10 < len(factored) <= looped
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
     def test_empty_dense_coupling(self, shape):
@@ -1090,3 +1116,177 @@ class TestGoverningForm:
         with pytest.raises(ValueError, match="preconditioner diagonal must be finite and positive"):
             preconditioned_dr_step(np.zeros(dd.size), dd, stacked_prox_resolvent(prob),
                                    coupling_block_resolvent(prob))
+
+
+def comparison_policies():
+    """``drsplit compare --grid 4``'s runs: the three policies, then the 4x4
+    grid of constant pairs from 1e-3 to 1e3."""
+    grid = log_grid(1e-3, 1e3, 4).tolist()
+    return [ConstantPolicy(1.0, 1.0), TAdaptivePolicy(), TsAdaptivePolicy(),
+            *(ConstantPolicy(t, s) for t in grid for s in grid)]
+
+
+def lockstep_problem(kind):
+    if kind == "lad-tall":
+        return gen_lad(0)[1]
+    if kind == "tv":
+        return gen_tv(0, n=300)[1]
+    rng = np.random.default_rng(5)
+    rows, cols = (60, 90) if kind == "lad-wide" else (40, 40)
+    return make_lad_problem(rng.standard_normal((rows, cols)), rng.standard_normal(rows), 0.7)
+
+
+def looped(prob, policies, **kwargs):
+    return [solve(prob, policy, **kwargs) for policy in policies]
+
+
+class SwitchingPolicy:
+    """(t, s) through step k, then (t_next, s_next), which the update at
+    step k returns; a NaN there is a stepsize the solver rejects."""
+
+    def __init__(self, t, s, k, t_next, s_next):
+        self.t, self.s, self.k = t, s, k
+        self.t_next, self.s_next = t_next, s_next
+        self.frozen_from = k + 1
+
+    def initial(self, t0, s0):
+        return self.t, self.s
+
+    def update(self, t, s, x, p, y, q, k):
+        return (self.t_next, self.s_next) if k == self.k else (t, s)
+
+
+# A primal stepsize no other run of the failure tests uses.
+MARKER = 0.375
+
+
+def nan_at_marker(prob):
+    """``prob`` whose f prox writes NaN into every output row computed at
+    the primal stepsize ``MARKER``, for a point or a stack alike."""
+    good = prob.f_prox
+
+    def marked(v, step):
+        return np.where(np.asarray(step) == MARKER, np.nan, good(v, step))
+
+    return replace(prob, f_prox=marked)
+
+
+class TestLockstep:
+    # solve_many advances several runs on stacks; every run must be bitwise
+    # what its own solve returns, and every failure what the loop raises.
+    @pytest.mark.parametrize("kind", ["lad-tall", "lad-wide", "lad-square", "tv"])
+    def test_matches_loop_of_solves_bitwise(self, kind):
+        prob = lockstep_problem(kind)
+        if kind == "lad-square":
+            # The grid's corner t = s = 1e3 refines its Schur solves.
+            gram, eig = prob.coupling.gram, prob.coupling.gram_eig
+            assert linalg.spd_factor(gram, eig, 1e6).refine
+        height = objective_block_rows(prob.primal_dim, prob.dual_dim)
+        policies = comparison_policies()
+        # Budgets inside the first block, one past it, ending inside the
+        # third, and a tol stop, which ends the runs at different sweeps.
+        for max_iter, tol in ((1, 0.0), (height + 1, 0.0), (2 * height + 7, 0.0),
+                              (601, 1e-3)):
+            got = pddr.solve_many(prob, policies, max_iter=max_iter, tol=tol)
+            want = looped(prob, policies, max_iter=max_iter, tol=tol)
+            assert len(got) == len(want) == len(policies)
+            for (x, y, trace), (x_ref, y_ref, trace_ref) in zip(got, want):
+                assert_bitwise(x, x_ref)
+                assert_bitwise(y, y_ref)
+                assert_bitwise(trace.data, trace_ref.data)
+        lengths = [len(trace) for *_, trace in got]
+        assert len(set(lengths)) > 3 and 601 in lengths
+
+    def test_comparison_with_one_policy_is_one_solve(self, monkeypatch):
+        calls = []
+        real = pddr.solve
+
+        def counting(prob, policy, **kwargs):
+            calls.append(policy)
+            return real(prob, policy, **kwargs)
+
+        monkeypatch.setattr(pddr, "solve", counting)
+        prob, policy = lad_like(3), TsAdaptivePolicy()
+        (trace,) = run_comparison(prob, [policy], max_iter=30)
+        assert calls == [policy]
+        assert_bitwise(trace.data, real(prob, policy, max_iter=30, tol=0.0)[2].data)
+        run_comparison(prob, [policy, ConstantPolicy(1.0, 1.0)], max_iter=30)
+        assert calls == [policy]
+
+    def test_no_policies_no_runs(self):
+        assert pddr.solve_many(lad_like(3), [], max_iter=10, tol=0.0) == []
+
+    @staticmethod
+    def assert_same_failure(prob, policies, max_iter=400):
+        """solve_many raises what the loop of solves raises; returns it."""
+        failures = []
+        for run in (pddr.solve_many, looped):
+            with np.errstate(invalid="ignore"), pytest.raises(Exception) as info:
+                run(prob, policies, max_iter=max_iter, tol=0.0)
+            failures.append(info.value)
+        got, want = failures
+        assert type(got) is type(want) and str(got) == str(want)
+        if isinstance(want, IterationDiverged):
+            assert (got.step, got.state.k) == (want.step, want.state.k)
+            assert (got.state.t, got.state.s) == (want.state.t, want.state.s)
+            for start, start_ref in ((got.state.p, want.state.p),
+                                     (got.state.q, want.state.q)):
+                assert start.base is None
+                assert_bitwise(start, start_ref)
+        return got
+
+    def test_one_diverging_run(self):
+        # The third run switches to the marker stepsize at step 50, and its
+        # prox returns NaN from step 51 on, mid-block; no other run fails.
+        prob = nan_at_marker(gen_lad(1)[1])
+        policies = [ConstantPolicy(1.0, 1.0), TsAdaptivePolicy(),
+                    SwitchingPolicy(0.5, 2.0, 50, MARKER, 2.0), ConstantPolicy(2.0, 0.5)]
+        err = self.assert_same_failure(prob, policies)
+        assert isinstance(err, IterationDiverged) and err.step == 51
+        assert (err.state.t, err.state.s) == (MARKER, 2.0)
+
+    def test_earlier_run_wins_over_earlier_sweep(self):
+        # The third run diverges at step 0; the second returns a NaN
+        # stepsize at step 120.  The loop raises the second run's error, so
+        # the lockstep must too.
+        prob = nan_at_marker(gen_lad(1)[1])
+        policies = [TAdaptivePolicy(), SwitchingPolicy(1.0, 1.0, 120, np.nan, 1.0),
+                    ConstantPolicy(MARKER, 1.0), TsAdaptivePolicy()]
+        err = self.assert_same_failure(prob, policies)
+        assert isinstance(err, ValueError)
+        assert "the stepsizes the policy returned at step 120" in str(err)
+
+    @pytest.mark.parametrize("kind", ["lad-tall", "tv"])
+    def test_nonfinite_objective(self, kind):
+        # The objective is infinite at the second run's step 300 and at the
+        # third run's step 70, picked by their exact values: the loop
+        # raises the second run's, although the third fails first in sweep
+        # order, and although the second run's policy returns a NaN
+        # stepsize at step 305, in the same objective block, before the
+        # block is evaluated.
+        clean = lockstep_problem(kind)
+        policies = [ConstantPolicy(1.0, 1.0), SwitchingPolicy(0.5, 2.0, 305, np.nan, 2.0),
+                    TsAdaptivePolicy(), ConstantPolicy(2.0, 0.5)]
+        height = objective_block_rows(clean.primal_dim, clean.dual_dim)
+        assert 300 // height == 305 // height
+        traces = [trace for *_, trace in looped(clean, policies, max_iter=305, tol=0.0)]
+        bad = [traces[1].column("objective")[300], traces[2].column("objective")[70]]
+        assert not np.isin(bad, traces[0].column("objective")).any()
+
+        def objective(xs):
+            values = clean.objective(xs)
+            values[np.isin(values, bad)] = np.inf
+            return values
+
+        err = self.assert_same_failure(replace(clean, objective=objective), policies)
+        assert isinstance(err, IterationDiverged) and err.step == 300
+
+    def test_invalid_initial_stepsizes_of_a_later_run(self):
+        # The loop never starts the third run: the second diverges first.
+        prob = nan_at_marker(gen_lad(1)[1])
+        policies = [TsAdaptivePolicy(), SwitchingPolicy(1.0, 1.0, 30, MARKER, 1.0),
+                    SwitchingPolicy(-1.0, 1.0, 0, 1.0, 1.0), ConstantPolicy(1.0, 1.0)]
+        err = self.assert_same_failure(prob, policies)
+        assert isinstance(err, IterationDiverged) and err.step == 31
+        err = self.assert_same_failure(prob, [policies[0], policies[2], policies[1]])
+        assert isinstance(err, ValueError) and "starting stepsizes" in str(err)
