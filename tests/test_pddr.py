@@ -1197,6 +1197,22 @@ class TestLockstep:
         lengths = [len(trace) for *_, trace in got]
         assert len(set(lengths)) > 3 and 601 in lengths
 
+    def test_record_grows_past_its_first_rows(self):
+        # The lockstep record starts at _RECORD_ROWS rows and doubles; runs
+        # longer than that, two of them stopped by tol after a growth, keep
+        # every row.
+        prob = lad_like(8)
+        policies = [ConstantPolicy(1.0, 1.0), TsAdaptivePolicy(), ConstantPolicy(0.02, 0.02)]
+        budget = 2 * pddr._RECORD_ROWS + 100
+        got = pddr.solve_many(prob, policies, max_iter=budget, tol=1e-7)
+        want = looped(prob, policies, max_iter=budget, tol=1e-7)
+        for (x, y, trace), (x_ref, y_ref, trace_ref) in zip(got, want):
+            assert_bitwise(x, x_ref)
+            assert_bitwise(y, y_ref)
+            assert_bitwise(trace.data, trace_ref.data)
+        lengths = sorted(len(trace) for *_, trace in got)
+        assert pddr._RECORD_ROWS < lengths[0] < budget and lengths[-1] == budget
+
     def test_comparison_with_one_policy_is_one_solve(self, monkeypatch):
         calls = []
         real = pddr.solve
