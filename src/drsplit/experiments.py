@@ -190,8 +190,10 @@ def run_comparison(prob: PdProblem, policies: Sequence, *, max_iter: int,
     return the traces, in policy order.
 
     One call of :func:`drsplit.pddr.solve_many`: one policy is one
-    ``pddr.solve``, several advance in lockstep on stacks, and every trace,
-    and any exception, is bitwise what a loop of ``pddr.solve`` calls gives.
+    ``pddr.solve``, several advance in lockstep on stacks, and every trace
+    is bitwise what a loop of ``pddr.solve`` calls gives.  If the lockstep
+    fails, that loop runs from the start and raises its own exception, so a
+    policy listed with others must keep no state in ``update``.
     """
     return [trace for _, _, trace in pddr.solve_many(
         prob, policies, max_iter=max_iter, tol=tol, t0=t0, s0=s0)]

@@ -39,7 +39,9 @@ advances the runs in lockstep on ``(B, d)`` stacks of shadow points, one
 stacked call of each prox and coupling product per sweep, while each run
 keeps its own Schur factor, trace, objective blocks, divergence check, tol
 stop and policy updates; every run is bitwise what its own :func:`solve`
-returns.
+returns.  The lockstep only detects failure: if it raises anything, the
+runs start over as a loop of :func:`solve` calls, so a failure is the
+loop's by construction.
 
 The trace is columnar: each sweep appends its five scalars (k, objective,
 t, s, residual) to one growable float64 buffer, which :class:`SolveTrace`
@@ -498,10 +500,10 @@ _RECORD_ROWS = 1024
 
 
 class _Run:
-    """One policy's run in :func:`solve_many`'s lockstep: its position in
-    the policy list, its stepsizes as the policy returned them, the step
-    from which its updates stop, and its factored Schur complement (None
-    until fetched for the current t*s)."""
+    """One policy's run in :func:`_lockstep`: its position in the policy
+    list, its stepsizes as the policy returned them, the step from which its
+    updates stop, and its factored Schur complement (None until fetched for
+    the current t*s)."""
 
     __slots__ = ("index", "policy", "t", "s", "update_until", "schur")
 
@@ -509,6 +511,10 @@ class _Run:
         self.index, self.policy, self.t, self.s = index, policy, t, s
         self.update_until = update_until
         self.schur = None
+
+
+class _Diverged(Exception):
+    """A lockstep run met a non-finite step residual or objective."""
 
 
 def solve_many(prob: PdProblem, policies, *, max_iter: int, tol: float,
@@ -527,37 +533,40 @@ def solve_many(prob: PdProblem, policies, *, max_iter: int, tol: float,
     ``coupling.schur`` only when its t*s changes, and solved row by row),
     its trace, its objective blocks, its divergence check, its tol stop and
     its policy updates up to its ``frozen_from``.  The problem's proxes and
-    coupling must take stacks (see :class:`PdProblem`); policies are called
-    interleaved, so one policy object with state of its own must not be
-    listed twice.
+    coupling must take stacks (see :class:`PdProblem`).
 
-    Failures are raised as a loop of :func:`solve` calls raises them: the
-    first run in policy order that fails raises its exception, with the same
-    step and start state, after every run before it has finished.  An
-    exception from a stacked prox or product belongs to no single run and
-    propagates as raised.
+    If the lockstep raises anything (a run diverges, a policy or a stacked
+    call raises), the runs start over as the loop of :func:`solve` calls,
+    which returns or raises what it does, so failures match the loop's by
+    construction.  Such a comparison costs the lockstep's sweeps so far plus
+    the loop up to its failing run, and outside ``np.errstate`` numpy's
+    warnings can appear twice.  Policies are called interleaved and, after a
+    failure, again from ``initial``, so a policy listed with others must keep
+    no state in ``update``.
     """
     policies = list(policies)
-    if len(policies) < 2:
-        return [solve(prob, policy, max_iter=max_iter, tol=tol, t0=t0, s0=s0)
-                for policy in policies]
+    if len(policies) > 1:
+        try:
+            return _lockstep(prob, policies, max_iter, tol, t0, s0)
+        except Exception:
+            pass
+    return [solve(prob, policy, max_iter=max_iter, tol=tol, t0=t0, s0=s0)
+            for policy in policies]
+
+
+def _lockstep(prob, policies, max_iter, tol, t0, s0):
+    """:func:`solve_many`'s stacked sweep over several policies.  Returns
+    every run's result, or raises: :class:`_Diverged` on a non-finite
+    residual or objective, and whatever a policy, a check or a stacked call
+    raises."""
     _check_settings(max_iter, tol, t0, s0)
-    results = [None] * len(policies)
-    # The earliest failed run's index and exception; runs from that index on
-    # are no longer advanced.
-    limit, failure = len(policies), None
     live = []
     for index, policy in enumerate(policies):
-        try:
-            state = initial_state(prob, *policy.initial(t0, s0))
-            frozen_from = getattr(policy, "frozen_from", None)
-        except Exception as err:
-            limit, failure = index, err
-            break
+        state = initial_state(prob, *policy.initial(t0, s0))
+        frozen_from = getattr(policy, "frozen_from", None)
         live.append(_Run(index, policy, state.t, state.s,
                          max_iter if frozen_from is None else frozen_from))
-    if not live:
-        raise failure
+    results = [None] * len(live)
 
     f_prox, gstar_prox, coupling = prob.f_prox, prob.gstar_prox, prob.coupling
     n, m = prob.primal_dim, prob.dual_dim
@@ -573,34 +582,17 @@ def solve_many(prob: PdProblem, policies, *, max_iter: int, tol: float,
     # when the run finishes, the objective when its block is evaluated.
     record = np.empty((count, min(max_iter, _RECORD_ROWS), 5))
     blocks = np.zeros((count, height, n))
-    # The (p, q) stacks each sweep of the unevaluated block rows started from.
-    starts = []
     # The Schur solves' rows: v when the dual side is smaller, else u.
     solved = np.zeros((count, m if wide else n))
     last_update = max(run.update_until for run in live)
 
     def fill(i, first, rows):
         # solve's fill_objectives, for the run at position i.
-        if not rows:
-            return
-        values, j = _block_values(prob.objective, blocks[i], rows)
-        if j >= 0:
-            p, q = starts[j]
-            k = first + j
-            raise IterationDiverged(k, state=DRState(
-                p=p[i].copy(), q=q[i].copy(), t=float(record[i, k, 2]),
-                s=float(record[i, k, 3]), k=k))
-        record[i, first:first + rows, 1] = values
-
-    def fail(i, run, err, first, rows):
-        # Records the run's failure.  solve evaluates the pending rows before
-        # any exception leaves it, so an earlier non-finite objective wins.
-        nonlocal limit, failure
-        try:
-            fill(i, first, rows)
-        except Exception as earlier:
-            err = earlier
-        limit, failure = run.index, err
+        if rows:
+            values, j = _block_values(prob.objective, blocks[i], rows)
+            if j >= 0:
+                raise _Diverged
+            record[i, first:first + rows, 1] = values
 
     for k in range(max_iter):
         j = k % height
@@ -614,16 +606,9 @@ def solve_many(prob: PdProblem, policies, *, max_iter: int, tol: float,
         else:
             rhs = r1 - t_col * coupling.rmatvec(r2)
         for i, run in enumerate(live):
-            if run.index >= limit:
-                break
-            schur = run.schur
-            if schur is None:
-                try:
-                    schur = run.schur = coupling.schur(run.t * run.s)
-                except Exception as err:
-                    fail(i, run, err, first, j)
-                    break
-            solved[i] = schur.solve(rhs[i])
+            if run.schur is None:
+                run.schur = coupling.schur(run.t * run.s)
+            solved[i] = run.schur.solve(rhs[i])
         if wide:
             u_stack, v_stack = r1 - t_col * coupling.rmatvec(solved), solved
         else:
@@ -632,18 +617,10 @@ def solve_many(prob: PdProblem, policies, *, max_iter: int, tol: float,
         q_next = q_stack + v_stack - y_stack
         residuals = (scaled_norm_rows(p_next - p_stack, q_next - q_stack)
                      / np.maximum(1.0, scaled_norm_rows(p_stack, q_stack)))
-        # The sweep's divergence check, as in solve.  Rows are in policy
-        # order, so the first non-finite one is the only run that can fail
-        # here: the rows after it are dropped with it.
+        # The sweep's divergence check, as in solve.
         if not residuals.max() < math.inf:
-            i = int(np.isfinite(residuals).argmin())
-            run = live[i]
-            if run.index < limit:
-                start = DRState(p=p_stack[i].copy(), q=q_stack[i].copy(),
-                                t=run.t, s=run.s, k=k)
-                fail(i, run, IterationDiverged(k, state=start), first, j)
+            raise _Diverged
         blocks[:, j] = x_stack
-        starts.append((p_stack, q_stack))
         if k == record.shape[1]:
             grown = np.empty((record.shape[0], min(max_iter, 2 * k), 5))
             grown[:, :k] = record
@@ -653,31 +630,18 @@ def solve_many(prob: PdProblem, policies, *, max_iter: int, tol: float,
         record[:, k, 4] = residuals
         if k < last_update:
             for i, run in enumerate(live):
-                if run.index >= limit:
-                    break
                 if k < run.update_until:
-                    try:
-                        t, s = run.policy.update(run.t, run.s, x_stack[i], p_stack[i],
-                                                 y_stack[i], q_stack[i], k)
-                        check_steps(t, s, f"the stepsizes the policy returned at step {k}")
-                    except Exception as err:
-                        fail(i, run, err, first, j + 1)
-                        break
+                    t, s = run.policy.update(run.t, run.s, x_stack[i], p_stack[i],
+                                             y_stack[i], q_stack[i], k)
+                    check_steps(t, s, f"the stepsizes the policy returned at step {k}")
                     t_col[i, 0], s_col[i, 0] = t, s
                     if t * s != run.schur.ts:
                         run.schur = None
                     run.t, run.s = t, s
         pending = j + 1
         if pending == height:
-            for i, run in enumerate(live):
-                if run.index >= limit:
-                    break
-                try:
-                    fill(i, first, pending)
-                except Exception as err:
-                    fail(i, run, err, first, 0)
-                    break
-            starts.clear()
+            for i in range(len(live)):
+                fill(i, first, pending)
             pending = 0
         if k + 1 == max_iter:
             finishing = range(len(live))
@@ -685,37 +649,22 @@ def solve_many(prob: PdProblem, policies, *, max_iter: int, tol: float,
             finishing = np.flatnonzero(residuals <= tol)
         else:
             finishing = ()
-        finished = False
         for i in finishing:
-            run = live[i]
-            if run.index >= limit:
-                break
-            try:
-                fill(i, first, pending)
-            except Exception as err:
-                fail(i, run, err, first, 0)
-                break
+            fill(i, first, pending)
             rows = record[i, :k + 1]
             rows[:, 0] = np.arange(k + 1)
-            results[run.index] = (x_stack[i].copy(), y_stack[i].copy(),
-                                  SolveTrace(rows.copy()))
-            finished = True
-        # Runs that finished or failed, and runs after a failed one, leave
-        # the stacks.
-        if finished or live[-1].index >= limit:
-            keep = [i for i, run in enumerate(live)
-                    if run.index < limit and results[run.index] is None]
+            results[live[i].index] = (x_stack[i].copy(), y_stack[i].copy(),
+                                      SolveTrace(rows.copy()))
+        # Finished runs leave the stacks.
+        if len(finishing):
+            keep = [i for i, run in enumerate(live) if results[run.index] is None]
             if not keep:
                 break
-            if len(keep) < len(live):
-                live = [live[i] for i in keep]
-                p_next, q_next = p_next[keep], q_next[keep]
-                t_col, s_col = t_col[keep], s_col[keep]
-                record, blocks = record[keep], blocks[keep]
-                starts = [(p[keep], q[keep]) for p, q in starts]
-                solved = np.zeros((len(live), solved.shape[1]))
-                last_update = max(run.update_until for run in live)
+            live = [live[i] for i in keep]
+            p_next, q_next = p_next[keep], q_next[keep]
+            t_col, s_col = t_col[keep], s_col[keep]
+            record, blocks = record[keep], blocks[keep]
+            solved = np.zeros((len(live), solved.shape[1]))
+            last_update = max(run.update_until for run in live)
         p_stack, q_stack = p_next, q_next
-    if failure is not None:
-        raise failure
     return results

@@ -1140,6 +1140,28 @@ def looped(prob, policies, **kwargs):
     return [solve(prob, policy, **kwargs) for policy in policies]
 
 
+def assert_same_runs(got, want):
+    """Each (x, y, trace) of ``got`` has the bits of its own in ``want``."""
+    for (x, y, trace), (x_ref, y_ref, trace_ref) in zip(got, want, strict=True):
+        assert_bitwise(x, x_ref)
+        assert_bitwise(y, y_ref)
+        assert_bitwise(trace.data, trace_ref.data)
+
+
+def count_solves(monkeypatch):
+    """Patch ``pddr.solve``, the name ``solve_many`` calls, to record its
+    policies; returns the record.  ``looped`` is not counted."""
+    calls = []
+    real = pddr.solve
+
+    def counting(prob, policy, **kwargs):
+        calls.append(policy)
+        return real(prob, policy, **kwargs)
+
+    monkeypatch.setattr(pddr, "solve", counting)
+    return calls
+
+
 class SwitchingPolicy:
     """(t, s) through step k, then (t_next, s_next), which the update at
     step k returns; a NaN there is a stepsize the solver rejects."""
@@ -1174,8 +1196,11 @@ def nan_at_marker(prob):
 class TestLockstep:
     # solve_many advances several runs on stacks; every run must be bitwise
     # what its own solve returns, and every failure what the loop raises.
+    # Every success is the lockstep's own, with no solve call: a lockstep
+    # that raised would hand the runs to the loop and still be right.
     @pytest.mark.parametrize("kind", ["lad-tall", "lad-wide", "lad-square", "tv"])
-    def test_matches_loop_of_solves_bitwise(self, kind):
+    def test_matches_loop_of_solves_bitwise(self, kind, monkeypatch):
+        calls = count_solves(monkeypatch)
         prob = lockstep_problem(kind)
         if kind == "lad-square":
             # The grid's corner t = s = 1e3 refines its Schur solves.
@@ -1190,56 +1215,87 @@ class TestLockstep:
             got = pddr.solve_many(prob, policies, max_iter=max_iter, tol=tol)
             want = looped(prob, policies, max_iter=max_iter, tol=tol)
             assert len(got) == len(want) == len(policies)
-            for (x, y, trace), (x_ref, y_ref, trace_ref) in zip(got, want):
-                assert_bitwise(x, x_ref)
-                assert_bitwise(y, y_ref)
-                assert_bitwise(trace.data, trace_ref.data)
+            assert_same_runs(got, want)
         lengths = [len(trace) for *_, trace in got]
         assert len(set(lengths)) > 3 and 601 in lengths
+        assert calls == []
 
-    def test_record_grows_past_its_first_rows(self):
+    def test_record_grows_past_its_first_rows(self, monkeypatch):
         # The lockstep record starts at _RECORD_ROWS rows and doubles; runs
         # longer than that, two of them stopped by tol after a growth, keep
         # every row.
+        calls = count_solves(monkeypatch)
         prob = lad_like(8)
         policies = [ConstantPolicy(1.0, 1.0), TsAdaptivePolicy(), ConstantPolicy(0.02, 0.02)]
         budget = 2 * pddr._RECORD_ROWS + 100
         got = pddr.solve_many(prob, policies, max_iter=budget, tol=1e-7)
-        want = looped(prob, policies, max_iter=budget, tol=1e-7)
-        for (x, y, trace), (x_ref, y_ref, trace_ref) in zip(got, want):
-            assert_bitwise(x, x_ref)
-            assert_bitwise(y, y_ref)
-            assert_bitwise(trace.data, trace_ref.data)
+        assert_same_runs(got, looped(prob, policies, max_iter=budget, tol=1e-7))
         lengths = sorted(len(trace) for *_, trace in got)
         assert pddr._RECORD_ROWS < lengths[0] < budget and lengths[-1] == budget
+        assert calls == []
+
+    def test_step_columns_are_contiguous(self):
+        # numpy broadcasts a strided (B, 1) step column about 1.5x more
+        # slowly than a contiguous one; every stacked prox call, before and
+        # after a run stops at 1340, gets contiguous columns.
+        prob = lad_like(8)
+        steps = []
+
+        def recording(prox):
+            def call(v, step):
+                steps.append(np.shape(step) == (len(v), 1) and step.flags.c_contiguous)
+                return prox(v, step)
+            return call
+
+        prob = replace(prob, f_prox=recording(prob.f_prox),
+                       gstar_prox=recording(prob.gstar_prox))
+        policies = [ConstantPolicy(1.0, 1.0), TsAdaptivePolicy(), ConstantPolicy(0.02, 0.02)]
+        got = pddr.solve_many(prob, policies, max_iter=1400, tol=1e-7)
+        assert sorted(len(trace) for *_, trace in got) == [1340, 1400, 1400]
+        assert len(steps) == 2 * 1400 and all(steps)
 
     def test_comparison_with_one_policy_is_one_solve(self, monkeypatch):
-        calls = []
-        real = pddr.solve
-
-        def counting(prob, policy, **kwargs):
-            calls.append(policy)
-            return real(prob, policy, **kwargs)
-
-        monkeypatch.setattr(pddr, "solve", counting)
+        calls = count_solves(monkeypatch)
         prob, policy = lad_like(3), TsAdaptivePolicy()
         (trace,) = run_comparison(prob, [policy], max_iter=30)
         assert calls == [policy]
-        assert_bitwise(trace.data, real(prob, policy, max_iter=30, tol=0.0)[2].data)
+        assert_bitwise(trace.data, solve(prob, policy, max_iter=30, tol=0.0)[2].data)
         run_comparison(prob, [policy, ConstantPolicy(1.0, 1.0)], max_iter=30)
         assert calls == [policy]
 
     def test_no_policies_no_runs(self):
         assert pddr.solve_many(lad_like(3), [], max_iter=10, tol=0.0) == []
 
+    def test_stack_failure_hands_the_runs_to_the_loop(self, monkeypatch):
+        # A prox that takes no stack fails the lockstep's first sweep; the
+        # loop of solves then returns every run.
+        prob = lad_like(4)
+        pointwise = prob.f_prox
+
+        def points_only(v, step):
+            if np.ndim(v) != 1:
+                raise TypeError("this prox takes one point")
+            return pointwise(v, step)
+
+        prob = replace(prob, f_prox=points_only)
+        policies = [ConstantPolicy(1.0, 1.0), TsAdaptivePolicy(), ConstantPolicy(0.3, 3.0)]
+        calls = count_solves(monkeypatch)
+        got = pddr.solve_many(prob, policies, max_iter=50, tol=0.0)
+        assert calls == policies
+        assert_same_runs(got, looped(prob, policies, max_iter=50, tol=0.0))
+
     @staticmethod
     def assert_same_failure(prob, policies, max_iter=400):
-        """solve_many raises what the loop of solves raises; returns it."""
+        """solve_many raises what the loop of solves raises, from that loop
+        (at least one solve call); returns it."""
         failures = []
-        for run in (pddr.solve_many, looped):
-            with np.errstate(invalid="ignore"), pytest.raises(Exception) as info:
-                run(prob, policies, max_iter=max_iter, tol=0.0)
-            failures.append(info.value)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = count_solves(patch)
+            for run in (pddr.solve_many, looped):
+                with np.errstate(invalid="ignore"), pytest.raises(Exception) as info:
+                    run(prob, policies, max_iter=max_iter, tol=0.0)
+                failures.append(info.value)
+        assert calls
         got, want = failures
         assert type(got) is type(want) and str(got) == str(want)
         if isinstance(want, IterationDiverged):
